@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AssumptionError, DimensionError, LayerError
 from .graphs import DirectedGraph
 from .mas import MasModel, numerical_rank
-from .observer import ObserverGains, consensus_weight_set, observer_derivative
+from .observer import ObserverGains, consensus_weight_set
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,9 @@ def localization_gains(model: MasModel, weight_rule="binary", gain_block=None,
     """Observer gains for an integrator localization model.
 
     ``gain_block`` is the per-measurement output-injection block (defaults
-    to the identity); an agent owning several measurements just repeats it.
+    to -I, which matches the -I own-measurement rows so that A - F C is
+    A - count * I, Hurwitz for single and double integrators); an agent
+    owning several measurements just repeats it.
     The coupling gain is fixed at 1: integrators have zero spectral radius,
     so any positive gain stabilizes once the graph conditions hold.
     """
@@ -362,20 +364,13 @@ def localization_gains(model: MasModel, weight_rule="binary", gain_block=None,
     for i in model.agents:
         n_i = model.state_dims[i - 1]
         p_i = model.output_dims[i - 1]
-        block = np.eye(n_i) if gain_block is None else np.atleast_2d(np.asarray(gain_block, float))
+        block = -np.eye(n_i) if gain_block is None else np.atleast_2d(np.asarray(gain_block, float))
         if block.shape != (n_i, n_i):
             raise DimensionError(f"gain block must be {(n_i, n_i)}, got {block.shape}")
         count = p_i // n_i
         luenberger[i] = np.hstack([block] * count)
     return ObserverGains(luenberger=luenberger, mu=1.0, weights=weights,
                          input_mode=input_mode)
-
-
-def localization_observer(model: MasModel, gains: ObserverGains, state, u, y,
-                          t: float = 0.0):
-    """Derivative of the localization observer (consensus gain folded into
-    the weights, coupling gain 1)."""
-    return observer_derivative(model, gains, state, u, y, t=t)
 
 
 # ----------------------------------------------------------------------

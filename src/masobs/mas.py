@@ -13,6 +13,7 @@ edge does.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,11 @@ class MasModel:
         object.__setattr__(self, "b_blocks", MappingProxyType(b))
         object.__setattr__(self, "c_blocks", MappingProxyType(c))
         self._validate()
+        # block offsets into the stacked state, input and output vectors
+        for name, dims in (("_state_offsets", self.state_dims),
+                           ("_input_offsets", self.input_dims),
+                           ("_output_offsets", self.output_dims)):
+            object.__setattr__(self, name, (0, *itertools.accumulate(dims)))
 
     # -- construction -------------------------------------------------
 
@@ -185,16 +191,13 @@ class MasModel:
         return sum(self.output_dims)
 
     def state_slice(self, i: int) -> slice:
-        offsets = np.concatenate(([0], np.cumsum(self.state_dims)))
-        return slice(int(offsets[i - 1]), int(offsets[i]))
+        return slice(self._state_offsets[i - 1], self._state_offsets[i])
 
     def input_slice(self, i: int) -> slice:
-        offsets = np.concatenate(([0], np.cumsum(self.input_dims)))
-        return slice(int(offsets[i - 1]), int(offsets[i]))
+        return slice(self._input_offsets[i - 1], self._input_offsets[i])
 
     def output_slice(self, i: int) -> slice:
-        offsets = np.concatenate(([0], np.cumsum(self.output_dims)))
-        return slice(int(offsets[i - 1]), int(offsets[i]))
+        return slice(self._output_offsets[i - 1], self._output_offsets[i])
 
 
 @dataclass(frozen=True, eq=False)

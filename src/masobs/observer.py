@@ -23,7 +23,6 @@ from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from . import graphs, mas as mas_mod
 from .errors import ConnectivityError, DimensionError, DomainError, UnobservableError
@@ -167,6 +166,10 @@ def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
     margin-shifted pair.  Either way every closed-loop eigenvalue ends up
     with real part <= -margin.
     """
+    # imported here: scipy.signal dominates the package import time and only
+    # this design uses it
+    import scipy.signal
+
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if margin <= 0:
@@ -369,13 +372,12 @@ def unpack_observer_state(model: MasModel, vector: np.ndarray) -> ObserverState:
     return ObserverState(xhat=xhat, xbar=xbar)
 
 
-def observer_dim(model: MasModel) -> int:
-    return model.n + model.m * model.n
-
-
 def observer_derivative(model: MasModel, gains: ObserverGains,
                         state: ObserverState, u, y, t: float = 0.0) -> ObserverState:
     """Time derivative of every agent's estimates.
+
+    This is the blockwise reference form of the equations; the simulator
+    integrates the matrices of :func:`closed_loop_matrices` instead.
 
     In "own-only" input mode the cross-agent estimators drop the unknown
     input feedthrough B_jj u_j for j != i, while each agent keeps its own
@@ -425,6 +427,75 @@ def observer_derivative(model: MasModel, gains: ObserverGains,
             d_i[sl_j] = accj + mu * cons
         d_xhat[i] = d_i
     return ObserverState(xhat=d_xhat, xbar=d_xbar)
+
+
+# ----------------------------------------------------------------------
+# closed-loop matrices
+# ----------------------------------------------------------------------
+
+def closed_loop_matrices(model: MasModel, gains: ObserverGains):
+    """Affine form of the coupled plant and observer, built block by block.
+
+    Returns ``(M, G_u, G_w, G_v)`` with dz/dt = M z + G_u u + G_w w + G_v v
+    for the segment state z = [x; xbar_1..m; xhat^(1)..xhat^(m)], process
+    noise w added to dx/dt and measurement noise v added to y.  The blocks
+    are the ones :func:`observer_derivative` applies, formed from the same
+    products and sums, so each entry equals what that function yields for
+    a unit vector.
+    """
+    n = model.n
+    mu = gains.mu
+    full_input = gains.input_mode == "full"
+    dim = (model.m + 2) * n
+    stacked = mas_mod.stack(model)
+    m_mat = np.zeros((dim, dim))
+    g_u = np.zeros((dim, model.k))
+    g_w = np.zeros((dim, n))
+    g_v = np.zeros((dim, model.p))
+    m_mat[:n, :n] = stacked.a
+    g_u[:n] = stacked.b
+    g_w[:n] = np.eye(n)
+
+    def bar(i):
+        sl = model.state_slice(i)
+        return slice(n + sl.start, n + sl.stop)
+
+    def hat(i, j):
+        sl = model.state_slice(j)
+        return slice((i + 1) * n + sl.start, (i + 1) * n + sl.stop)
+
+    for i in model.agents:
+        f_i = gains.luenberger[i]
+        sens_in = model.sensing_graph.in_neighbors(i)
+        rows = bar(i)
+        m_mat[rows, bar(i)] = model.a_blocks[(i, i)] - f_i @ model.c_blocks[(i, i)]
+        for l in (i, *sens_in):
+            m_mat[rows, model.state_slice(l)] = f_i @ model.c_blocks[(i, l)]
+        for l in model.dynamics_graph.in_neighbors(i):
+            m_mat[rows, hat(i, l)] = model.a_blocks[(i, l)]
+        for l in sens_in:
+            m_mat[rows, hat(i, l)] -= f_i @ model.c_blocks[(i, l)]
+        g_u[rows, model.input_slice(i)] = model.b_blocks[i]
+        g_v[rows, model.output_slice(i)] = f_i
+        comm = model.communication_graph.in_neighbors(i)
+        for j in model.agents:
+            w_j = gains.weights[j]
+            eye = np.eye(model.state_dims[j - 1])
+            rows = hat(i, j)
+            # summed in observer_derivative's order, so the diagonal is bitwise equal
+            deg = 0.0
+            for l in comm:
+                deg = deg + w_j[i, l] * -1.0
+                m_mat[rows, hat(l, j)] = mu * w_j[i, l] * eye
+            if j == i:
+                deg = deg + w_j[i, 0] * -1.0
+                m_mat[rows, bar(i)] = mu * w_j[i, 0] * eye
+            m_mat[rows, rows] = model.a_blocks[(j, j)] + mu * deg * eye
+            for l in model.dynamics_graph.in_neighbors(j):
+                m_mat[rows, hat(i, l)] = model.a_blocks[(j, l)]
+            if full_input or j == i:
+                g_u[rows, model.input_slice(j)] = model.b_blocks[j]
+    return m_mat, g_u, g_w, g_v
 
 
 # ----------------------------------------------------------------------
@@ -586,35 +657,27 @@ def error_disturbance_matrices(model: MasModel, gains: ObserverGains, ordering=N
 
     Returns a dict with keys "unknown_input" (stacked input -> dE/dt; zero
     in full-input mode), "process" (stacked state noise) and "measurement"
-    (stacked output noise), obtained by probing the observer equations with
-    unit disturbances at zero error, which is exact for a linear system.
+    (stacked output noise).  Each error row is an estimate row of the
+    :func:`closed_loop_matrices` input maps minus the plant row it tracks.
     """
     if ordering is None:
         ordering = check_topological_consistency(model)
-    x0 = np.zeros(model.n)
-    state0 = zero_observer_state(model)
-
-    def probe(**kwargs):
-        return error_derivative(model, gains, state0, x0, ordering=ordering, **kwargs)
-
-    base = probe()
-    dim = error_dim(model)
-    g_u = np.zeros((dim, model.k))
-    for c in range(model.k):
-        e = np.zeros(model.k)
-        e[c] = 1.0
-        g_u[:, c] = probe(u=e) - base
-    g_w = np.zeros((dim, model.n))
-    for c in range(model.n):
-        e = np.zeros(model.n)
-        e[c] = 1.0
-        g_w[:, c] = probe(process_noise=e) - base
-    g_v = np.zeros((dim, model.p))
-    for c in range(model.p):
-        e = np.zeros(model.p)
-        e[c] = 1.0
-        g_v[:, c] = probe(measurement_noise=e) - base
-    return {"unknown_input": g_u, "process": g_w, "measurement": g_v}
+    _, g_u, g_w, g_v = closed_loop_matrices(model, gains)
+    n = model.n
+    estimate_rows = []
+    plant_rows = []
+    for j in ordering:
+        sl = model.state_slice(j)
+        x_j = np.arange(sl.start, sl.stop)
+        # z holds xbar_j at offset n and xhat^(i)_j at offset (i + 1) n
+        for offset in range(n, (model.m + 2) * n, n):
+            estimate_rows.append(offset + x_j)
+            plant_rows.append(x_j)
+    est = np.concatenate(estimate_rows)
+    plant = np.concatenate(plant_rows)
+    return {"unknown_input": g_u[est] - g_u[plant],
+            "process": g_w[est] - g_w[plant],
+            "measurement": g_v[est] - g_v[plant]}
 
 
 def iss_error_bound(kappa: float, eta: float, e0_norm: float, b_norm: float,

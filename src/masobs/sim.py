@@ -15,6 +15,7 @@ label that ever exists, padded with NaN while an agent is absent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -106,6 +107,13 @@ class NoiseSpec:
 
     process: float = 0.0
     measurement: float = 0.0
+
+    def __post_init__(self):
+        for name in ("process", "measurement"):
+            bound = getattr(self, name)
+            if not (math.isfinite(bound) and bound >= 0.0):
+                raise DomainError(
+                    f"{name} noise bound must be finite and nonnegative, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -422,56 +430,6 @@ def apply_event(model: MasModel, policy: GainPolicy, obs_state: ObserverState,
     return new_model, policy_out, new_gains, new_state, out_x, new_labels, report
 
 
-# ----------------------------------------------------------------------
-# linearization of one segment
-# ----------------------------------------------------------------------
-
-def _linearize_segment(model: MasModel, gains: ObserverGains):
-    """Exact affine form of the coupled plant/observer dynamics.
-
-    The stacked segment state is z = [x; xbar_1..m; xhat^(1..m)].  Columns
-    are extracted by driving the blockwise equations with basis vectors,
-    which is exact because everything is linear.
-    """
-    n = model.n
-    dim = n + obs_mod.observer_dim(model)
-
-    def deriv(z, u=None, w=None, v=None):
-        x = z[:n]
-        state = obs_mod.unpack_observer_state(model, z[n:])
-        y = mas_mod.plant_output(model, x)
-        if v is not None:
-            y = y + v
-        ds = obs_mod.observer_derivative(model, gains, state, u, y)
-        dx = mas_mod.plant_derivative(model, x, u)
-        if w is not None:
-            dx = dx + w
-        return np.concatenate([dx, obs_mod.pack_observer_state(model, ds)])
-
-    base = deriv(np.zeros(dim))
-    m_mat = np.empty((dim, dim))
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        m_mat[:, c] = deriv(e) - base
-    g_u = np.empty((dim, model.k))
-    for c in range(model.k):
-        e = np.zeros(model.k)
-        e[c] = 1.0
-        g_u[:, c] = deriv(np.zeros(dim), u=e) - base
-    g_w = np.empty((dim, model.n))
-    for c in range(model.n):
-        e = np.zeros(model.n)
-        e[c] = 1.0
-        g_w[:, c] = deriv(np.zeros(dim), w=e) - base
-    g_v = np.empty((dim, model.p))
-    for c in range(model.p):
-        e = np.zeros(model.p)
-        e[c] = 1.0
-        g_v[:, c] = deriv(np.zeros(dim), v=e) - base
-    return m_mat, g_u, g_w, g_v
-
-
 class _StackedInput:
     """Fast stacked input evaluator for the current label set."""
 
@@ -641,7 +599,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     noise_on = cfg.noise.process > 0 or cfg.noise.measurement > 0
     while True:
         seg_end = pending[0][0] if pending else total_steps
-        m_mat, g_u, g_w, g_v = _linearize_segment(model, gains)
+        m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
         u_fn = _StackedInput(model, labels, cfg.inputs)
         g_extra = np.zeros(m_mat.shape[0])
 

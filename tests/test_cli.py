@@ -33,6 +33,31 @@ def ring_sensing_file(tmp_path):
     return path
 
 
+def _ring_localization_payload(order):
+    sg = ring_sensing_graph()
+    payload = {
+        "kind": "localization",
+        "sensing": {
+            "agents": sg.agent_count,
+            "relative_edges": [list(e) for e in sg.relative_edges],
+            "anchors": list(sg.anchors),
+            "ids": {str(k): v for k, v in RING_IDS.items()},
+        },
+        "communication": {"nodes": 6, "edges": [
+            [i, i % 6 + 1, 1.0] for i in range(1, 7)] + [
+            [i % 6 + 1, i, 1.0] for i in range(1, 7)]},
+        "order": order,
+        "inputs": {str(i): {"type": "sinusoid", "amplitude": [-0.1, 0.1],
+                            "frequency": 0.01, "phase": [0.0, 1.5707963267948966]}
+                   for i in range(1, 7)},
+        "initial_positions": [[5, 7], [3, 4], [5, 2], [10, 2], [12, 4], [10, 7]],
+        "t_end": 2.0, "dt": 0.01, "record_every": 10,
+    }
+    if order == "double":
+        payload["initial_velocities"] = [[0.1, 0.0]] * 6
+    return payload
+
+
 class TestCheck:
     def test_valid_model_passes(self, triple_model_file, capsys):
         assert cli.main(["check", str(triple_model_file)]) == 0
@@ -128,32 +153,33 @@ class TestRun:
         assert np.array_equal(c, d)
 
     def test_localization_scenario_kind(self, tmp_path):
-        sg = ring_sensing_graph()
-        payload = {
-            "kind": "localization",
-            "sensing": {
-                "agents": sg.agent_count,
-                "relative_edges": [list(e) for e in sg.relative_edges],
-                "anchors": list(sg.anchors),
-                "ids": {str(k): v for k, v in RING_IDS.items()},
-            },
-            "communication": {"nodes": 6, "edges": [
-                [i, i % 6 + 1, 1.0] for i in range(1, 7)] + [
-                [i % 6 + 1, i, 1.0] for i in range(1, 7)]},
-            "order": "single",
-            "gain_block": [[-1.0, 0.0], [0.0, -0.5]],
-            "inputs": {str(i): {"type": "sinusoid", "amplitude": [-0.1, 0.1],
-                                "frequency": 0.01, "phase": [0.0, 1.5707963267948966]}
-                       for i in range(1, 7)},
-            "initial_positions": [[5, 7], [3, 4], [5, 2], [10, 2], [12, 4], [10, 7]],
-            "t_end": 2.0, "dt": 0.01, "record_every": 10,
-        }
+        payload = _ring_localization_payload("single")
+        payload["gain_block"] = [[-1.0, 0.0], [0.0, -0.5]]
         path = tmp_path / "loc.json"
         path.write_text(json.dumps(payload))
         out_dir = tmp_path / "loc_out"
         assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
         header, data = read_trace_csv(out_dir / "trace.csv")
         assert data.shape[1] == len(header)
+
+    @pytest.mark.parametrize("order", ["single", "double"])
+    def test_localization_default_gain_block(self, tmp_path, order):
+        path = tmp_path / "loc.json"
+        path.write_text(json.dumps(_ring_localization_payload(order)))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "loc_out")]) == 0
+
+    @pytest.mark.parametrize("noise", [{"process": -0.05}, {"measurement": float("inf")},
+                                       {"process": float("nan")}],
+                             ids=["negative", "infinite", "nan"])
+    def test_bad_noise_bound_exits_one(self, tmp_path, capsys, noise):
+        path = tmp_path / "noise.json"
+        save_scenario(coupled_triple_scenario(t_end=1.0), path)
+        payload = json.loads(path.read_text())
+        payload["noise"] = noise
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 class TestDagc:

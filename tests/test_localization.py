@@ -8,13 +8,13 @@ from masobs.localization import (AgentKinematics, DagcAssignment,
                                  build_localization_mas, build_measurement_matrix,
                                  check_agent_observability,
                                  check_global_observability, dagc,
-                                 localization_gains, localization_observer,
+                                 localization_gains,
                                  rank_observable_agents, rank_observable_globally,
                                  relative_rows_rank_deficient)
 from masobs.mas import (check_node_observability, check_topological_consistency,
                         numerical_rank, plant_derivative, plant_output, stack)
 from masobs.observer import (assemble_error_dynamics, error_dim,
-                             error_derivative, is_hurwitz,
+                             error_derivative, is_hurwitz, observer_derivative,
                              observer_state_from_errors)
 from masobs.scenarios import RING_IDS, ring_communication, ring_sensing_graph
 from masobs.synth import random_sensing_graph
@@ -226,7 +226,7 @@ class TestLocalizationObserver:
         x = rng.standard_normal(model.n)
         u = rng.standard_normal(model.k)
         state = observer_state_from_errors(model, np.zeros(error_dim(model)), x)
-        ds = localization_observer(model, gains, state, u, plant_output(model, x))
+        ds = observer_derivative(model, gains, state, u, plant_output(model, x))
         dx = plant_derivative(model, x, u)
         for i in model.agents:
             assert np.allclose(ds.xhat[i], dx, atol=1e-12)

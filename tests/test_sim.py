@@ -4,10 +4,13 @@ import scipy.linalg
 
 from masobs.errors import (ConnectivityError, DomainError, NonFiniteError)
 from masobs.graphs import DirectedGraph
-from masobs.mas import MasModel, plant_derivative, plant_output
-from masobs.observer import (assemble_error_dynamics, fit_decay_envelope,
+from masobs.mas import (MasModel, check_topological_consistency, plant_derivative,
+                        plant_output)
+from masobs.observer import (assemble_error_dynamics, closed_loop_matrices,
+                             design_gains, error_derivative, error_dim,
+                             error_disturbance_matrices, fit_decay_envelope,
                              observer_derivative, pack_observer_state,
-                             unpack_observer_state)
+                             unpack_observer_state, zero_observer_state)
 from masobs.scenarios import (coupled_triple_model,
                               coupled_triple_scenario, plugin_base_model,
                               plugin_join_scenario, plugin_leave_scenario,
@@ -19,12 +22,26 @@ from masobs.sim import (ConstantInput, GainPolicy, JoinEvent, LeaveEvent,
                         run_scenario, scenario_from_json, scenario_to_json,
                         trace_columns, trace_matrix, write_metadata,
                         write_trace_csv)
+from masobs.synth import random_mas_model
 
 
 def _short_triple(t_end=3.0, **kwargs):
     defaults = dict(noise=False, t_end=t_end, dt=1e-3)
     defaults.update(kwargs)
     return coupled_triple_scenario(**defaults)
+
+
+def _random_model_with_inputs(rng):
+    """Seeded random model whose agents have zero to two input channels."""
+    base = random_mas_model(rng, max_agents=4)
+    return MasModel.build(
+        [base.a_blocks[(i, i)] for i in base.agents],
+        [base.c_blocks[(i, i)] for i in base.agents],
+        communication=base.communication_graph,
+        b_diag=[rng.standard_normal((n_i, int(rng.integers(0, 3))))
+                for n_i in base.state_dims],
+        a_couplings={key: blk for key, blk in base.a_blocks.items() if key[0] != key[1]},
+        c_couplings={key: blk for key, blk in base.c_blocks.items() if key[0] != key[1]})
 
 
 class TestIntegrateStep:
@@ -111,20 +128,50 @@ class TestRunScenario:
         assert np.allclose(ratio, 2.0, rtol=1e-9)
 
     def test_linearized_dynamics_match_blockwise_equations(self):
-        cfg = _short_triple(t_end=0.2)
-        model = cfg.model
-        gains, _ = resolve_gains(model, cfg.policy)
-        from masobs.sim import _linearize_segment
-        m_mat, g_u, g_w, g_v = _linearize_segment(model, gains)
         rng = np.random.default_rng(91)
-        z = rng.standard_normal(m_mat.shape[0])
-        x = z[:model.n]
-        state = unpack_observer_state(model, z[model.n:])
-        y = plant_output(model, x)
-        ds = observer_derivative(model, gains, state, None, y)
-        expected = np.concatenate([plant_derivative(model, x, None),
-                                   pack_observer_state(model, ds)])
-        assert np.allclose(m_mat @ z, expected, atol=1e-9)
+        for rule in ("binary", "normalized-in", "normalized-out"):
+            for input_mode in ("full", "own-only"):
+                models = [coupled_triple_model()]
+                models += [_random_model_with_inputs(rng) for _ in range(3)]
+                for model in models:
+                    gains, _ = design_gains(model, weights=rule, mu="global",
+                                            input_mode=input_mode)
+                    m_mat, g_u, g_w, g_v = closed_loop_matrices(model, gains)
+                    z = rng.standard_normal(m_mat.shape[0])
+                    u = rng.standard_normal(model.k)
+                    w = rng.standard_normal(model.n)
+                    v = rng.standard_normal(model.p)
+                    x = z[:model.n]
+                    state = unpack_observer_state(model, z[model.n:])
+                    y = plant_output(model, x) + v
+                    ds = observer_derivative(model, gains, state, u, y)
+                    expected = np.concatenate([plant_derivative(model, x, u) + w,
+                                               pack_observer_state(model, ds)])
+                    got = m_mat @ z + g_u @ u + g_w @ w + g_v @ v
+                    assert np.allclose(got, expected, atol=1e-9), (rule, input_mode)
+
+    def test_disturbance_maps_match_probed_error_derivative(self):
+        rng = np.random.default_rng(97)
+        for input_mode in ("full", "own-only"):
+            for _ in range(4):
+                model = _random_model_with_inputs(rng)
+                gains, _ = design_gains(model, mu="global", input_mode=input_mode)
+                ordering = check_topological_consistency(model)
+                x0 = np.zeros(model.n)
+                state0 = zero_observer_state(model)
+
+                def probe(**disturbance):
+                    return error_derivative(model, gains, state0, x0, ordering=ordering,
+                                            **disturbance)
+
+                maps = error_disturbance_matrices(model, gains, ordering)
+                for key, name, size in (("unknown_input", "u", model.k),
+                                        ("process", "process_noise", model.n),
+                                        ("measurement", "measurement_noise", model.p)):
+                    probed = np.zeros((error_dim(model), size))
+                    for c, unit in enumerate(np.eye(size)):
+                        probed[:, c] = probe(**{name: unit}) - probe()
+                    assert np.array_equal(maps[key], probed), (input_mode, key)
 
     def test_envelope_on_short_run(self):
         cfg = _short_triple(t_end=5.0)
