@@ -17,8 +17,8 @@ from . import mas as mas_mod
 from . import observer as obs_mod
 from . import scenarios as scen_mod
 from . import sim as sim_mod
-from .errors import (AssumptionError, ConnectivityError, DomainError,
-                     LayerError, MasobsError, NonFiniteError,
+from .errors import (AssumptionError, ConnectivityError, DimensionError,
+                     DomainError, LayerError, MasobsError, NonFiniteError,
                      UnobservableError)
 from .graphs import DirectedGraph, is_strongly_connected
 
@@ -65,7 +65,7 @@ def _sensing_ids(obj: dict):
 def _check_model(obj: dict) -> int:
     try:
         model = mas_mod.model_from_json(obj)
-    except MasobsError as exc:
+    except (KeyError, TypeError, ValueError, MasobsError) as exc:
         print(f"FAIL structure: {exc}")
         return EXIT_CHECK
     failures = 0
@@ -139,7 +139,7 @@ def cmd_gains(args) -> int:
     obj = _load_json(args.path)
     try:
         model = mas_mod.model_from_json(obj if "m" in obj else obj["model"])
-    except (KeyError, MasobsError) as exc:
+    except (KeyError, TypeError, ValueError, MasobsError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse model: {exc}")
     policy_kwargs = {"margin": args.margin}
     if args.policy == "undirected":
@@ -276,7 +276,7 @@ def cmd_run(args) -> int:
     obj = _load_json(args.path)
     try:
         cfg = scenario_from_file(obj)
-    except (KeyError, ValueError, MasobsError) as exc:
+    except (KeyError, TypeError, ValueError, MasobsError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse scenario: {exc}")
     cfg = _apply_overrides(cfg, args)
     out_dir = Path(args.out) if args.out else Path(args.path).with_suffix("") \
@@ -287,7 +287,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_DIVERGED, str(exc))
     except (AssumptionError, ConnectivityError, UnobservableError) as exc:
         return _fail(EXIT_CHECK, str(exc))
-    except DomainError as exc:
+    except (DimensionError, DomainError) as exc:
         return _fail(EXIT_USAGE, str(exc))
     _write_bundle(out_dir, cfg, trace, args.subsample)
     summary = sim_mod.error_norms(trace)

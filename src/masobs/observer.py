@@ -201,6 +201,8 @@ def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
 
 def _next_integer_above(bound: float) -> int:
     """Smallest integer strictly greater than ``bound``."""
+    if not math.isfinite(bound):
+        raise DomainError(f"coupling gain bound {bound} is not a finite float")
     return int(math.floor(bound)) + 1
 
 
@@ -230,29 +232,41 @@ def coupling_gain_global(model: MasModel, weights) -> int:
     return _next_integer_above(rho_max / min_mod)
 
 
+def coupling_bound_undirected(rho_max: float, m_bar: int) -> float:
+    """The bound that :func:`coupling_gain_undirected` exceeds."""
+    if rho_max < 0:
+        raise DomainError("spectral radius bound must be nonnegative")
+    if m_bar < 2:
+        raise DomainError("agent cap must be at least 2")
+    try:
+        return rho_max * ((m_bar * m_bar - m_bar + 4) / 4.0) ** (m_bar - 1) * m_bar
+    except OverflowError:
+        raise DomainError(f"the undirected coupling gain bound for m_bar={m_bar} "
+                          "exceeds the float range") from None
+
+
+def coupling_bound_directed(rho_max: float, m_bar: int) -> float:
+    """The bound that :func:`coupling_gain_directed` exceeds."""
+    if rho_max < 0:
+        raise DomainError("spectral radius bound must be nonnegative")
+    if m_bar < 1:
+        raise DomainError("agent cap must be at least 1")
+    return rho_max / grounded_spectrum_bound_directed(m_bar)
+
+
 def coupling_gain_undirected(rho_max: float, m_bar: int) -> int:
     """Uniform integer coupling gain for undirected graphs with binary weights.
 
     Only needs the largest block spectral radius and the maximum number of
     allowable agents, so every agent can evaluate it locally.
     """
-    if rho_max < 0:
-        raise DomainError("spectral radius bound must be nonnegative")
-    if m_bar < 2:
-        raise DomainError("agent cap must be at least 2")
-    bound = rho_max * ((m_bar * m_bar - m_bar + 4) / 4.0) ** (m_bar - 1) * m_bar
-    return _next_integer_above(bound)
+    return _next_integer_above(coupling_bound_undirected(rho_max, m_bar))
 
 
 def coupling_gain_directed(rho_max: float, m_bar: int) -> int:
     """Uniform integer coupling gain for strongly connected directed graphs
     with normalized weights."""
-    if rho_max < 0:
-        raise DomainError("spectral radius bound must be nonnegative")
-    if m_bar < 1:
-        raise DomainError("agent cap must be at least 1")
-    bound = rho_max / grounded_spectrum_bound_directed(m_bar)
-    return _next_integer_above(bound)
+    return _next_integer_above(coupling_bound_directed(rho_max, m_bar))
 
 
 def grounded_spectrum_bound_undirected(lambda2: float, m: int) -> float:
@@ -270,8 +284,13 @@ def grounded_spectrum_bound_directed(m: int) -> float:
     targets, for a strongly connected digraph with normalized weights."""
     if m < 1:
         raise DomainError("need at least one agent")
+    try:
+        inverse = 1.0 / math.factorial(m + 1)
+    except OverflowError:
+        raise DomainError(f"the directed grounded spectrum bound for m={m} "
+                          "is below the float range") from None
     # 1 - (1 - 1/(m+1)!)**(1/m), evaluated in a cancellation-safe form
-    return -math.expm1(math.log1p(-1.0 / math.factorial(m + 1)) / m)
+    return -math.expm1(math.log1p(-inverse) / m)
 
 
 def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
@@ -307,18 +326,13 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
             for j in model.agents)
         report["min_grounded_eigenvalue"] = min_mod
         report["mu_bound"] = rho_max / min_mod
-    elif mu == "undirected":
+    elif mu in ("undirected", "directed"):
         if m_bar is None:
-            raise DomainError("the undirected policy needs the agent cap m_bar")
-        mu_value = coupling_gain_undirected(rho_max, m_bar)
+            raise DomainError(f"the {mu} policy needs the agent cap m_bar")
+        bound_of = coupling_bound_undirected if mu == "undirected" else coupling_bound_directed
         report["m_bar"] = m_bar
-        report["mu_bound"] = rho_max * ((m_bar ** 2 - m_bar + 4) / 4.0) ** (m_bar - 1) * m_bar
-    elif mu == "directed":
-        if m_bar is None:
-            raise DomainError("the directed policy needs the agent cap m_bar")
-        mu_value = coupling_gain_directed(rho_max, m_bar)
-        report["m_bar"] = m_bar
-        report["mu_bound"] = rho_max / grounded_spectrum_bound_directed(m_bar)
+        report["mu_bound"] = bound_of(rho_max, m_bar)
+        mu_value = _next_integer_above(report["mu_bound"])
     else:
         mu_value = float(mu)
         report["mu_bound"] = None
@@ -341,35 +355,11 @@ class ObserverState:
     xhat: dict
     xbar: dict
 
-    def copy(self) -> "ObserverState":
-        return ObserverState(xhat={i: v.copy() for i, v in self.xhat.items()},
-                             xbar={i: v.copy() for i, v in self.xbar.items()})
-
 
 def zero_observer_state(model: MasModel) -> ObserverState:
     return ObserverState(
         xhat={i: np.zeros(model.n) for i in model.agents},
         xbar={i: np.zeros(model.state_dims[i - 1]) for i in model.agents})
-
-
-def pack_observer_state(model: MasModel, state: ObserverState) -> np.ndarray:
-    parts = [state.xbar[i] for i in model.agents]
-    parts += [state.xhat[i] for i in model.agents]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def unpack_observer_state(model: MasModel, vector: np.ndarray) -> ObserverState:
-    xbar = {}
-    pos = 0
-    for i in model.agents:
-        n_i = model.state_dims[i - 1]
-        xbar[i] = np.array(vector[pos:pos + n_i])
-        pos += n_i
-    xhat = {}
-    for i in model.agents:
-        xhat[i] = np.array(vector[pos:pos + model.n])
-        pos += model.n
-    return ObserverState(xhat=xhat, xbar=xbar)
 
 
 def observer_derivative(model: MasModel, gains: ObserverGains,
@@ -438,7 +428,10 @@ def closed_loop_matrices(model: MasModel, gains: ObserverGains):
 
     Returns ``(M, G_u, G_w, G_v)`` with dz/dt = M z + G_u u + G_w w + G_v v
     for the segment state z = [x; xbar_1..m; xhat^(1)..xhat^(m)], process
-    noise w added to dx/dt and measurement noise v added to y.  The blocks
+    noise w added to dx/dt and measurement noise v added to y.  Viewed as
+    ``z.reshape(m + 2, n)``, row 0 of z is x, row 1 the stacked auxiliary
+    estimates xbar_i (agent i's in the columns ``model.state_slice(i)``)
+    and row 1 + i agent i's estimate xhat^(i) of the whole state.  The blocks
     are the ones :func:`observer_derivative` applies, formed from the same
     products and sums, so each entry equals what that function yields for
     a unit vector.
@@ -663,18 +656,10 @@ def error_disturbance_matrices(model: MasModel, gains: ObserverGains, ordering=N
     if ordering is None:
         ordering = check_topological_consistency(model)
     _, g_u, g_w, g_v = closed_loop_matrices(model, gains)
-    n = model.n
-    estimate_rows = []
-    plant_rows = []
-    for j in ordering:
-        sl = model.state_slice(j)
-        x_j = np.arange(sl.start, sl.stop)
-        # z holds xbar_j at offset n and xhat^(i)_j at offset (i + 1) n
-        for offset in range(n, (model.m + 2) * n, n):
-            estimate_rows.append(offset + x_j)
-            plant_rows.append(x_j)
-    est = np.concatenate(estimate_rows)
-    plant = np.concatenate(plant_rows)
+    # entry r * n + c of z estimates plant entry c for every row r >= 1
+    grid = np.arange(g_u.shape[0]).reshape(model.m + 2, model.n)
+    est = np.concatenate([grid[1:, model.state_slice(j)].ravel() for j in ordering])
+    plant = est % model.n
     return {"unknown_input": g_u[est] - g_u[plant],
             "process": g_w[est] - g_w[plant],
             "measurement": g_v[est] - g_v[plant]}

@@ -27,7 +27,7 @@ from .errors import (AssumptionError, ConnectivityError, DimensionError,
                      DomainError, NonFiniteError)
 from .graphs import DirectedGraph, is_strongly_connected
 from .mas import MasModel, check_node_observability, check_topological_consistency
-from .observer import ObserverGains, ObserverState
+from .observer import ObserverGains
 
 MACHINE_EPS = float(np.finfo(float).eps)
 #: multiplier for the double-precision error floor used by the trace checks;
@@ -324,19 +324,23 @@ def _comm_edges_by_label(model: MasModel, labels):
     return tuple((index[src], index[dst], gc.weight(src, dst)) for src, dst in sorted(gc.edges))
 
 
-def apply_event(model: MasModel, policy: GainPolicy, obs_state: ObserverState,
-                x: np.ndarray, event, labels):
-    """Apply one join/leave event.
+def _columns(slices):
+    """The column indices of consecutive slices, concatenated."""
+    return np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
 
-    Returns (model', policy', gains', state', x', labels', gain_report).
-    Surviving agents keep their estimates; estimate vectors are extended
-    with zeros for a joining agent (and its own estimates start at zero),
-    or shrunk by dropping the departing agent's slice.  Gains are re-derived
-    from the policy on the edited model.
+
+def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, labels):
+    """Apply one join/leave event to the segment state ``z``.
+
+    Returns (model', policy', gains', z', labels', gain_report).  The rows
+    and column blocks of every surviving agent are copied from z into a
+    zero (m'+2) x n' array (see :func:`observer.closed_loop_matrices`), so
+    survivors keep their estimates; a joining agent's plant block is its
+    ``initial_state`` and every estimate of it, or by it, starts at zero.
+    Gains are re-derived from the policy on the edited model.
     """
     labels = tuple(labels)
     a_diag, b_diag, c_diag, a_cpl, c_cpl = _label_blocks(model, labels)
-    old_slice = {lab: model.state_slice(pos + 1) for pos, lab in enumerate(labels)}
     if isinstance(event, JoinEvent):
         if event.label in labels:
             raise DomainError(f"agent label {event.label} already present")
@@ -367,29 +371,6 @@ def apply_event(model: MasModel, policy: GainPolicy, obs_state: ObserverState,
             if event.luenberger is not None:
                 updated[event.label] = np.atleast_2d(np.asarray(event.luenberger, float))
             policy_out = replace(policy, luenberger=updated)
-
-        def new_x():
-            out = np.zeros(new_model.n)
-            for pos, lab in enumerate(new_labels):
-                sl = new_model.state_slice(pos + 1)
-                out[sl] = init if lab == event.label else x[old_slice[lab]]
-            return out
-
-        def carry_vec(old_vec):
-            out = np.zeros(new_model.n)
-            for pos, lab in enumerate(new_labels):
-                if lab != event.label:
-                    out[new_model.state_slice(pos + 1)] = old_vec[old_slice[lab]]
-            return out
-
-        new_state = obs_mod.zero_observer_state(new_model)
-        for pos, lab in enumerate(new_labels):
-            if lab == event.label:
-                continue
-            old_pos = labels.index(lab) + 1
-            new_state.xbar[pos + 1] = obs_state.xbar[old_pos].copy()
-            new_state.xhat[pos + 1] = carry_vec(obs_state.xhat[old_pos])
-        out_x = new_x()
     elif isinstance(event, LeaveEvent):
         if event.label not in labels:
             raise DomainError(f"agent label {event.label} is not present")
@@ -413,21 +394,20 @@ def apply_event(model: MasModel, policy: GainPolicy, obs_state: ObserverState,
             updated = dict(policy.luenberger)
             updated.pop(event.label)
             policy_out = replace(policy, luenberger=updated)
-
-        def shrink(old_vec):
-            return np.concatenate([old_vec[old_slice[lab]] for lab in new_labels])
-
-        new_state = obs_mod.zero_observer_state(new_model)
-        for pos, lab in enumerate(new_labels):
-            old_pos = labels.index(lab) + 1
-            new_state.xbar[pos + 1] = obs_state.xbar[old_pos].copy()
-            new_state.xhat[pos + 1] = shrink(obs_state.xhat[old_pos])
-        out_x = shrink(x)
     else:
         raise TypeError(f"unknown event {event!r}")
     _validate_model_for_run(new_model)
     new_gains, report = resolve_gains(new_model, policy_out, new_labels)
-    return new_model, policy_out, new_gains, new_state, out_x, new_labels, report
+    keep = [lab for lab in new_labels if lab in labels]
+    old = np.ix_([0, 1] + [2 + labels.index(lab) for lab in keep],
+                 _columns(model.state_slice(labels.index(lab) + 1) for lab in keep))
+    new = np.ix_([0, 1] + [2 + new_labels.index(lab) for lab in keep],
+                 _columns(new_model.state_slice(new_labels.index(lab) + 1) for lab in keep))
+    new_z = np.zeros((new_model.m + 2, new_model.n))
+    new_z[new] = z.reshape(model.m + 2, model.n)[old]
+    if isinstance(event, JoinEvent):
+        new_z[0, new_model.state_slice(new_labels.index(event.label) + 1)] = init
+    return new_model, policy_out, new_gains, new_z.ravel(), new_labels, report
 
 
 class _StackedInput:
@@ -484,18 +464,6 @@ def _all_labels(cfg: ScenarioConfig):
             dims[event.label] = np.atleast_2d(np.asarray(event.a_block, float)).shape[0]
     ordered = tuple(sorted(labels))
     return ordered, dims
-
-
-def _initial_observer_state(cfg: ScenarioConfig) -> ObserverState:
-    if cfg.initial_estimates == "zero":
-        return obs_mod.zero_observer_state(cfg.model)
-    spec = cfg.initial_estimates
-    state = obs_mod.zero_observer_state(cfg.model)
-    for lab, vec in spec.get("xbar", {}).items():
-        state.xbar[int(lab)] = np.asarray(vec, float)
-    for lab, vec in spec.get("xhat", {}).items():
-        state.xhat[int(lab)] = np.asarray(vec, float)
-    return state
 
 
 def _gain_snapshot(t, labels, gains: ObserverGains, report):
@@ -563,36 +531,27 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     n_rec = len(record_idx)
 
     times = np.array([k * cfg.dt for k in record_idx])
-    x_rec = np.full((n_rec, n_total), np.nan)
-    xbar_rec = np.full((n_rec, n_total), np.nan)
-    xhat_rec = {lab: np.full((n_rec, n_total), np.nan) for lab in all_labels}
+    # rec[s] is the segment state z laid out as (m + 2) x n, widened to every
+    # label: row 0 is x, row 1 xbar, row 2 + a the estimate of all_labels[a]
+    rec = np.full((n_rec, len(all_labels) + 2, n_total), np.nan)
 
-    # initial segment state
-    if cfg.initial_state is None:
-        x = np.zeros(model.n)
-    else:
-        x = np.asarray(cfg.initial_state, float)
-        if x.shape != (model.n,):
+    z = np.zeros((model.m + 2) * model.n)
+    z_rows = z.reshape(model.m + 2, model.n)
+    if cfg.initial_state is not None:
+        x0 = np.asarray(cfg.initial_state, float)
+        if x0.shape != (model.n,):
             raise DimensionError(f"initial state must have shape ({model.n},)")
-    state = _initial_observer_state(cfg)
-    z = np.concatenate([x, obs_mod.pack_observer_state(model, state)])
+        z_rows[0] = x0
+    if cfg.initial_estimates != "zero":
+        spec = cfg.initial_estimates
+        unknown = {int(lab) for part in spec.values() for lab in part} - set(model.agents)
+        if unknown:
+            raise DimensionError(f"initial estimates for unknown agents {sorted(unknown)}")
+        for lab, vec in spec.get("xbar", {}).items():
+            z_rows[1, model.state_slice(int(lab))] = vec
+        for lab, vec in spec.get("xhat", {}).items():
+            z_rows[1 + int(lab)] = vec
     gain_log = [_gain_snapshot(0.0, labels, gains, report)]
-
-    def record(k, z_now, model_now, labels_now):
-        idx = rec_pos.get(k)
-        if idx is None:
-            return
-        n_now = model_now.n
-        x_now = z_now[:n_now]
-        st = obs_mod.unpack_observer_state(model_now, z_now[n_now:])
-        for pos, lab in enumerate(labels_now):
-            sl_model = model_now.state_slice(pos + 1)
-            x_rec[idx, col_of[lab]] = x_now[sl_model]
-            xbar_rec[idx, col_of[lab]] = st.xbar[pos + 1]
-        for pos, lab in enumerate(labels_now):
-            est = st.xhat[pos + 1]
-            for pos2, lab2 in enumerate(labels_now):
-                xhat_rec[lab][idx, col_of[lab2]] = est[model_now.state_slice(pos2 + 1)]
 
     pending = list(zip(event_steps, cfg.events))
     seg_start = 0
@@ -600,6 +559,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     while True:
         seg_end = pending[0][0] if pending else total_steps
         m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
+        at = np.ix_([0, 1] + [2 + all_labels.index(lab) for lab in labels],
+                    _columns(col_of[lab] for lab in labels))
         u_fn = _StackedInput(model, labels, cfg.inputs)
         g_extra = np.zeros(m_mat.shape[0])
 
@@ -607,7 +568,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
             return m_mat @ zz + g_u @ u_fn(tt) + g_extra
 
         for k in range(seg_start, seg_end):
-            record(k, z, model, labels)
+            if k in rec_pos:
+                rec[rec_pos[k]][at] = z.reshape(model.m + 2, model.n)
             if noise_on:
                 g_extra = np.zeros(m_mat.shape[0])
                 if cfg.noise.process > 0:
@@ -618,30 +580,34 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
                                                  cfg.noise.measurement, model.p)
             z = integrate_step(f, z, k * cfg.dt, cfg.dt)
         if not pending:
-            record(total_steps, z, model, labels)
+            rec[-1][at] = z.reshape(model.m + 2, model.n)
             break
         k_event, event = pending.pop(0)
-        n_now = model.n
-        state = obs_mod.unpack_observer_state(model, z[n_now:])
-        model, policy, gains, state, x, labels, report = apply_event(
-            model, policy, state, z[:n_now], event, labels)
-        z = np.concatenate([x, obs_mod.pack_observer_state(model, state)])
+        model, policy, gains, z, labels, report = apply_event(
+            model, policy, z, event, labels)
         gain_log.append(_gain_snapshot(k_event * cfg.dt, labels, gains, report))
         seg_start = k_event
 
+    x_rec, xbar_rec = rec[:, 0], rec[:, 1]
+    xhat_rec = {lab: rec[:, 2 + a] for a, lab in enumerate(all_labels)}
     pair_errors = {}
     bar_errors = {}
     total_sq = np.zeros(n_rec)
-    for j in all_labels:
-        xj = x_rec[:, col_of[j]]
-        bar = np.linalg.norm(xbar_rec[:, col_of[j]] - xj, axis=1)
-        bar_errors[j] = bar
-        total_sq += np.where(np.isnan(bar), 0.0, bar ** 2)
-        for i in all_labels:
-            err = np.linalg.norm(xhat_rec[i][:, col_of[j]] - xj, axis=1)
-            pair_errors[(i, j)] = err
-            total_sq += np.where(np.isnan(err), 0.0, err ** 2)
+    # overflow is reported below as a NonFiniteError, not as a warning
+    with np.errstate(over="ignore"):
+        for j in all_labels:
+            xj = x_rec[:, col_of[j]]
+            bar = np.linalg.norm(xbar_rec[:, col_of[j]] - xj, axis=1)
+            bar_errors[j] = bar
+            total_sq += np.where(np.isnan(bar), 0.0, bar ** 2)
+            for i in all_labels:
+                err = np.linalg.norm(xhat_rec[i][:, col_of[j]] - xj, axis=1)
+                pair_errors[(i, j)] = err
+                total_sq += np.where(np.isnan(err), 0.0, err ** 2)
     total_error = np.sqrt(total_sq)
+    if not np.all(np.isfinite(total_error)):
+        t_bad = times[~np.isfinite(total_error)][0]
+        raise NonFiniteError(f"recomputed error norm is not finite at t={t_bad:.6g}")
 
     return SimulationTrace(
         labels=all_labels,

@@ -7,9 +7,9 @@ import pytest
 
 from masobs import cli
 from masobs.mas import model_to_json, save_model
-from masobs.scenarios import (coupled_triple_model, coupled_triple_scenario,
-                              ring_sensing_graph, RING_IDS)
-from masobs.sim import read_trace_csv, save_scenario
+from masobs.scenarios import (build_experiment, coupled_triple_model,
+                              coupled_triple_scenario, ring_sensing_graph, RING_IDS)
+from masobs.sim import read_trace_csv, save_scenario, scenario_to_json
 
 
 @pytest.fixture
@@ -168,18 +168,94 @@ class TestRun:
         path.write_text(json.dumps(_ring_localization_payload(order)))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "loc_out")]) == 0
 
-    @pytest.mark.parametrize("noise", [{"process": -0.05}, {"measurement": float("inf")},
-                                       {"process": float("nan")}],
-                             ids=["negative", "infinite", "nan"])
-    def test_bad_noise_bound_exits_one(self, tmp_path, capsys, noise):
-        path = tmp_path / "noise.json"
-        save_scenario(coupled_triple_scenario(t_end=1.0), path)
-        payload = json.loads(path.read_text())
+    @pytest.mark.parametrize("kind, noise", [
+        pytest.param("mas", {"process": -0.05}, id="negative"),
+        pytest.param("mas", {"measurement": float("inf")}, id="infinite"),
+        pytest.param("mas", {"process": float("nan")}, id="nan"),
+        pytest.param("mas", {"process": [0.1]}, id="list-mas"),
+        pytest.param("localization", {"process": [0.1]}, id="list-localization"),
+    ])
+    def test_bad_noise_bound_exits_one(self, tmp_path, capsys, kind, noise):
+        payload = (scenario_to_json(coupled_triple_scenario(t_end=1.0)) if kind == "mas"
+                   else _ring_localization_payload("single"))
         payload["noise"] = noise
+        path = tmp_path / "noise.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial_state", [0.0]),
+        ("initial_estimates", {"xhat": {"4": [0.0, 0.0, 0.0, 0.0]}}),
+    ], ids=["short-initial-state", "estimate-of-unknown-agent"])
+    def test_bad_initial_vector_exits_one(self, tmp_path, capsys, field, value):
+        payload = scenario_to_json(coupled_triple_scenario(t_end=1.0))
+        payload[field] = value
+        path = tmp_path / "initial.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    def test_overflowing_error_norm_exits_three(self, tmp_path, capsys):
+        # RK4 with h = 0.5 is unstable on this closed loop; the states stay
+        # finite but their recomputed error norm overflows
+        path = tmp_path / "coarse.json"
+        save_scenario(build_experiment("5A-basic").config, path)
+        argv = ["run", str(path), "--dt", "0.5", "--t-end", "50",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: recomputed error norm"), lines
+        assert not (tmp_path / "out").exists()
+
+
+BAD_MODELS = ("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
+
+
+def _malformed_model(bad):
+    """The triple model file with one defect, or intact for ``None``."""
+    payload = model_to_json(coupled_triple_model())
+    if bad == "non-numeric-A":
+        payload["agents"][0]["A"][0][0] = "x"
+    elif bad == "nan-weight":
+        payload["communication"]["edges"][0][2] = float("nan")
+    elif bad == "edge-out-of-range":
+        payload["communication"]["edges"][0][1] = 7
+    elif bad == "no-communication":
+        del payload["communication"]
+    return payload
+
+
+class TestMalformedInput:
+    """Each malformed input exits with its documented code and at most one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("command, bad, code, stderr_start", [
+        *[pytest.param(["check"], bad, 2, None, id=f"check-{bad}") for bad in BAD_MODELS],
+        *[pytest.param(["gains"], bad, 1, "error: cannot parse model: ",
+                       id=f"gains-{bad}") for bad in BAD_MODELS],
+        pytest.param(["gains", "--policy", "directed", "--m-bar", "200"], None, 1,
+                     "error: ", id="gains-directed-overflow"),
+        pytest.param(["gains", "--policy", "undirected", "--m-bar", "400"], None, 1,
+                     "error: ", id="gains-undirected-overflow"),
+    ])
+    def test_exit_code_and_stderr(self, tmp_path, capsys, command, bad, code, stderr_start):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_malformed_model(bad)))
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "gains":
+            argv += ["--out", str(tmp_path / "gains.json")]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        if stderr_start is None:
+            assert lines == []
+            assert captured.out.startswith("FAIL structure: "), captured.out
+        else:
+            assert len(lines) == 1 and lines[0].startswith(stderr_start), lines
+        assert not (tmp_path / "gains.json").exists()
 
 
 class TestDagc:

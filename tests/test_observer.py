@@ -114,12 +114,18 @@ class TestCouplingGainFormulas:
         assert coupling_gain_undirected(3.0, 2) == 10
         with pytest.raises(DomainError):
             coupling_gain_undirected(1.0, 1)
+        with pytest.raises(DomainError):  # the float power overflows
+            coupling_gain_undirected(1.2, 400)
 
     def test_directed_formula(self):
         bound = 1.2 / grounded_spectrum_bound_directed(4)
         assert bound == pytest.approx(574.1969, abs=2e-3)
         assert coupling_gain_directed(1.2, 4) == 575
         assert coupling_gain_directed(0.0, 4) == 1
+        with pytest.raises(DomainError):  # 1 / 201! is below the float range
+            coupling_gain_directed(1.2, 200)
+        with pytest.raises(DomainError):  # the bound itself overflows to inf
+            coupling_gain_directed(1.2, 169)
 
     def test_bound_functions(self):
         assert grounded_spectrum_bound_undirected(2.0, 2) == pytest.approx(1.0 / 3.0)

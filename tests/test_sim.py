@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from masobs.errors import (ConnectivityError, DomainError, NonFiniteError)
+from masobs.errors import (ConnectivityError, DimensionError, DomainError,
+                           NonFiniteError)
 from masobs.graphs import DirectedGraph
 from masobs.mas import (MasModel, check_topological_consistency, plant_derivative,
                         plant_output)
-from masobs.observer import (assemble_error_dynamics, closed_loop_matrices,
-                             design_gains, error_derivative, error_dim,
-                             error_disturbance_matrices, fit_decay_envelope,
-                             observer_derivative, pack_observer_state,
-                             unpack_observer_state, zero_observer_state)
+from masobs.observer import (ObserverState, assemble_error_dynamics,
+                             closed_loop_matrices, design_gains, error_derivative,
+                             error_dim, error_disturbance_matrices, fit_decay_envelope,
+                             observer_derivative, zero_observer_state)
 from masobs.scenarios import (coupled_triple_model,
                               coupled_triple_scenario, plugin_base_model,
                               plugin_join_scenario, plugin_leave_scenario,
@@ -107,6 +107,14 @@ class TestRunScenario:
         trace = run_scenario(cfg)
         assert np.all(trace.total_error <= 1e-9)
 
+    def test_initial_estimate_for_unknown_agent_rejected(self):
+        cfg = _short_triple()
+        for label in (0, 4):
+            bad = ScenarioConfig(model=cfg.model, policy=cfg.policy, t_end=1.0,
+                                 initial_estimates={"xhat": {label: np.zeros(cfg.model.n)}})
+            with pytest.raises(DimensionError):
+                run_scenario(bad)
+
     def test_linearity_in_initial_error(self):
         base = _short_triple()
         model = base.model
@@ -141,12 +149,17 @@ class TestRunScenario:
                     u = rng.standard_normal(model.k)
                     w = rng.standard_normal(model.n)
                     v = rng.standard_normal(model.p)
-                    x = z[:model.n]
-                    state = unpack_observer_state(model, z[model.n:])
+                    rows = z.reshape(model.m + 2, model.n)
+                    x = rows[0]
+                    state = ObserverState(
+                        xhat={i: rows[1 + i] for i in model.agents},
+                        xbar={i: rows[1, model.state_slice(i)] for i in model.agents})
                     y = plant_output(model, x) + v
                     ds = observer_derivative(model, gains, state, u, y)
-                    expected = np.concatenate([plant_derivative(model, x, u) + w,
-                                               pack_observer_state(model, ds)])
+                    expected = np.concatenate(
+                        [plant_derivative(model, x, u) + w]
+                        + [ds.xbar[i] for i in model.agents]
+                        + [ds.xhat[i] for i in model.agents])
                     got = m_mat @ z + g_u @ u + g_w @ w + g_v @ v
                     assert np.allclose(got, expected, atol=1e-9), (rule, input_mode)
 
@@ -235,7 +248,6 @@ class TestEvents:
         model = plugin_base_model()
         policy = plugin_policy(mu=572)
         gains, _ = resolve_gains(model, policy)
-        from masobs.observer import zero_observer_state
         bad = JoinEvent(time=1.0, label=4,
                         a_block=((1.2, 1.0), (0.0, 0.8)), c_block=np.eye(2),
                         initial_state=(0.0, 0.0),
@@ -243,21 +255,43 @@ class TestEvents:
                                        (4, 1, 1.0)),
                         luenberger=((4.2, 0.0), (0.0, 4.8)))
         with pytest.raises(ConnectivityError):
-            apply_event(model, policy, zero_observer_state(model),
-                        np.zeros(model.n), bad, (1, 2, 3))
+            apply_event(model, policy, np.zeros((model.m + 2) * model.n), bad, (1, 2, 3))
 
     def test_mu_recomputed_under_global_policy(self):
         model = plugin_base_model()
         policy = GainPolicy(luenberger="auto", weights="binary", mu="global")
         gains, _ = resolve_gains(model, policy)
-        from masobs.observer import zero_observer_state
         leave = LeaveEvent(time=1.0, label=2,
                            communication=((1, 3, 1.0), (3, 1, 1.0)))
-        _, _, new_gains, _, _, labels, _ = apply_event(
-            model, policy, zero_observer_state(model), np.zeros(model.n),
-            leave, (1, 2, 3))
+        _, _, new_gains, _, labels, _ = apply_event(
+            model, policy, np.zeros((model.m + 2) * model.n), leave, (1, 2, 3))
         assert labels == (1, 3)
         assert new_gains.mu != gains.mu  # re-evaluated on the smaller graph
+
+    @pytest.mark.parametrize("make", [plugin_join_scenario, plugin_leave_scenario],
+                             ids=["join", "leave"])
+    def test_event_carries_survivors_and_zero_fills_the_rest(self, make):
+        cfg = make(mu=572, t_end=18.0, event_time=15.0)
+        model, event = cfg.model, cfg.events[0]
+        labels = tuple(model.agents)
+        z = np.random.default_rng(3).standard_normal((model.m + 2) * model.n)
+        new_model, _, _, new_z, new_labels, _ = apply_event(
+            model, cfg.policy, z, event, labels)
+        old = z.reshape(model.m + 2, model.n)
+        new = new_z.reshape(new_model.m + 2, new_model.n)
+        survivors = [lab for lab in new_labels if lab in labels]
+        assert len(survivors) == (3 if isinstance(event, JoinEvent) else 2)
+        expected = np.zeros_like(new)
+        for j in survivors:
+            new_c = new_model.state_slice(new_labels.index(j) + 1)
+            old_c = model.state_slice(labels.index(j) + 1)
+            expected[:2, new_c] = old[:2, old_c]  # plant state and xbar_j
+            for i in survivors:
+                expected[2 + new_labels.index(i), new_c] = old[2 + labels.index(i), old_c]
+        if isinstance(event, JoinEvent):
+            joiner = new_model.state_slice(new_labels.index(event.label) + 1)
+            expected[0, joiner] = event.initial_state
+        assert np.array_equal(new, expected)
 
 
 class TestTraceOutput:
