@@ -44,6 +44,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _reason(exc: Exception) -> str:
+    """A parse failure in words; str() of a KeyError is only the key's repr."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
+
+
 def sensing_from_json(obj: dict) -> loc_mod.SensingGraph:
     return loc_mod.SensingGraph(
         agent_count=int(obj["agents"]),
@@ -66,7 +73,7 @@ def _check_model(obj: dict) -> int:
     try:
         model = mas_mod.model_from_json(obj)
     except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        print(f"FAIL structure: {exc}")
+        print(f"FAIL structure: {_reason(exc)}")
         return EXIT_CHECK
     failures = 0
     observable = mas_mod.check_node_observability(model)
@@ -91,10 +98,12 @@ def _check_model(obj: dict) -> int:
 
 
 def _check_sensing(obj: dict) -> int:
+    comm = obj.get("communication")
     try:
         sg = sensing_from_json(obj)
-    except (KeyError, ValueError) as exc:
-        print(f"FAIL structure: {exc}")
+        gc = None if comm is None else mas_mod._graph_from_json(comm)
+    except (KeyError, TypeError, ValueError, MasobsError) as exc:
+        print(f"FAIL structure: {_reason(exc)}")
         return EXIT_CHECK
     failures = 0
     if loc_mod.check_global_observability(sg):
@@ -109,9 +118,7 @@ def _check_sensing(obj: dict) -> int:
         bad = [i for i, ok in enumerate(per_agent, start=1) if not ok]
         print(f"FAIL per-agent observability: agents {bad} own no measurement")
         failures += 1
-    comm = obj.get("communication")
-    if comm is not None:
-        gc = mas_mod._graph_from_json(comm)
+    if gc is not None:
         if is_strongly_connected(gc):
             print("PASS communication connectivity: graph strongly connected")
         else:
@@ -140,7 +147,7 @@ def cmd_gains(args) -> int:
     try:
         model = mas_mod.model_from_json(obj if "m" in obj else obj["model"])
     except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse model: {exc}")
+        return _fail(EXIT_USAGE, f"cannot parse model: {_reason(exc)}")
     policy_kwargs = {"margin": args.margin}
     if args.policy == "undirected":
         policy_kwargs.update(weights="binary", mu="undirected", m_bar=args.m_bar)
@@ -277,7 +284,7 @@ def cmd_run(args) -> int:
     try:
         cfg = scenario_from_file(obj)
     except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse scenario: {exc}")
+        return _fail(EXIT_USAGE, f"cannot parse scenario: {_reason(exc)}")
     cfg = _apply_overrides(cfg, args)
     out_dir = Path(args.out) if args.out else Path(args.path).with_suffix("") \
         .with_name(Path(args.path).stem + "_out")
@@ -336,7 +343,7 @@ def cmd_dagc(args) -> int:
     try:
         sg = sensing_from_json(obj)
     except (KeyError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse sensing scenario: {exc}")
+        return _fail(EXIT_USAGE, f"cannot parse sensing scenario: {_reason(exc)}")
     try:
         assignment = loc_mod.dagc(sg, ids=_sensing_ids(obj), seed=args.seed)
     except LayerError as exc:

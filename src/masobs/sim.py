@@ -2,9 +2,10 @@
 
 A scenario couples one MAS model with a gain policy, input signals, bounded
 noise, and an optional list of join/leave events.  Integration is classical
-fixed-step RK4 on a shared time grid; noise is redrawn from a seeded
-generator once per step and held constant within the step, so a scenario is
-a pure function of its configuration.
+fixed-step RK4 on a shared time grid, applied as its exact linear step map:
+one matrix-vector product per step on each segment between events.  Noise
+is drawn from a seeded generator for every step and held constant within
+the step, so a scenario is a pure function of its configuration.
 
 Agents are tracked by *label*: the model always numbers its agents 1..m
 internally, while joins and leaves edit the label set and the simulator
@@ -235,18 +236,36 @@ class SimulationTrace:
 # fixed-step integrator
 # ----------------------------------------------------------------------
 
-def integrate_step(f, state, t, dt):
-    """One classical 4-stage Runge-Kutta step of ``state' = f(t, state)``."""
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    k1 = f(t, state)
-    k2 = f(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = f(t + dt, state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"state became non-finite at t={t + dt:.6g}")
-    return out
+def rk4_step_map(m_mat, dt, g):
+    """Exact map of one classical RK4 step on dz/dt = M z + g c(t).
+
+    ``m_mat`` is scaled in place to A = dt M and holds A afterwards.
+    Returns (D, G0, G_half, G1, Psi).  One step from z at time t is
+    z + D z + G0 c(t) + G_half c(t + dt/2) + G1 c(t + dt), and with c held
+    constant over the step it is z + D z + Psi c.  D = A + A^2/2 + A^3/6 +
+    A^4/24 is formed in Horner form, never as Phi - I, so the small increment
+    is not rounded against the identity.  It is built one column at a time
+    by matrix-vector products, so no matrix besides A and D is ever held.
+    """
+    a = m_mat
+    a *= dt
+    d = np.empty_like(a)
+    for j in range(len(a)):
+        t = a[:, j] / 24.0
+        t[j] += 1.0 / 6.0
+        t = a @ t
+        t[j] += 0.5
+        t = a @ t
+        t[j] += 1.0
+        d[:, j] = a @ t
+    ag = a @ g
+    a2g = a @ ag
+    a3g = a @ a2g
+    g0 = (dt / 6.0) * (g + ag + a2g / 2.0 + a3g / 4.0)
+    g_half = (dt / 6.0) * (4.0 * g + 2.0 * ag + a2g / 2.0)
+    g1 = (dt / 6.0) * g
+    psi = dt * (g + ag / 2.0 + a2g / 6.0 + a3g / 24.0)
+    return d, g0, g_half, g1, psi
 
 
 # ----------------------------------------------------------------------
@@ -411,10 +430,9 @@ def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, label
 
 
 class _StackedInput:
-    """Fast stacked input evaluator for the current label set."""
+    """The stacked input channels of the current label set, by signal kind."""
 
     def __init__(self, model, labels, signals):
-        self.k = model.k
         self.const = np.zeros(model.k)
         self.amp = np.zeros(model.k)
         self.freq = np.zeros(model.k)
@@ -440,15 +458,105 @@ class _StackedInput:
                 self.phase[sl] = np.asarray(sig.phase, float)
             else:
                 self.pieces.append((sl, sig))
-        self.has_sin = bool(np.any(self.amp != 0.0))
 
-    def __call__(self, t):
-        u = self.const.copy()
-        if self.has_sin:
-            u += self.amp * np.sin(self.freq * t + self.phase)
-        for sl, sig in self.pieces:
-            u[sl] = sig.evaluate(t)
-        return u
+
+class _SegmentMap:
+    """One RK4 step of a segment as a single matrix.
+
+    The stepped vector is y = [z; s; e].  s holds [sin(omega t + phi);
+    cos(omega t + phi)] of every sinusoid channel, then a constant 1 when
+    a channel is constant; its rows of ``step`` rotate it by omega dt, which
+    is exact, so these inputs at t, t + dt/2 and t + dt are columns of the
+    same matvec.  e holds the per-step values: the noise draws [w; v] of
+    the active families, then the piecewise channels at t, at t + dt/2 and
+    at t + dt.  One step is y[:len(step)] += step @ y.
+    """
+
+    def __init__(self, model, gains, inputs: _StackedInput, noise: NoiseSpec, z, t0, dt):
+        m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
+        dim = len(z)
+        families = [(g_fam, bound) for g_fam, bound in ((g_w, noise.process),
+                                                        (g_v, noise.measurement))
+                    if bound > 0]
+        self.bounds = np.repeat([bound for _, bound in families],
+                                [g_fam.shape[1] for g_fam, _ in families])
+        sin_ch = np.flatnonzero(inputs.amp)
+        const_on = bool(np.any(inputs.const != 0.0))
+        self.pieces = inputs.pieces
+        pw_ch = [c for sl, _ in self.pieces for c in range(sl.start, sl.stop)]
+        # input columns in order: sinusoid channels, piecewise channels, the
+        # constant channels summed, then the active noise channels
+        cols = [g_u[:, sin_ch], g_u[:, pw_ch]]
+        if const_on:
+            cols.append(g_u @ inputs.const[:, None])
+        g = np.hstack(cols + [g_fam for g_fam, _ in families])
+        d, g0, g_half, g1, psi = rk4_step_map(m_mat, dt, g)
+        del m_mat
+        n_s, n_pw, n_noise = len(sin_ch), len(pw_ch), len(self.bounds)
+        rows = dim + 2 * n_s + const_on
+        width = rows + n_noise + 3 * n_pw
+        if width == dim:
+            self.step = d
+        else:
+            self.step = np.zeros((rows, width))
+            self.step[:dim, :dim] = d
+        del d
+        step, z_rows = self.step, slice(0, dim)
+        s_sin, s_cos = slice(dim, dim + 2 * n_s, 2), slice(dim + 1, dim + 2 * n_s, 2)
+        # u_c(t + tau) = a_c (cos(omega tau) s_sin + sin(omega tau) s_cos)
+        amp = inputs.amp[sin_ch]
+        wt = np.outer(inputs.freq[sin_ch], (0.0, dt / 2.0, dt))
+        for stage, gam in enumerate((g0, g_half, g1)):
+            step[z_rows, s_sin] += gam[:, :n_s] * amp * np.cos(wt[:, stage])
+            step[z_rows, s_cos] += gam[:, :n_s] * amp * np.sin(wt[:, stage])
+            first = rows + n_noise + stage * n_pw
+            step[z_rows, first:first + n_pw] = gam[:, n_s:n_s + n_pw]
+        for r_sin, wh in zip(range(dim, dim + 2 * n_s, 2), wt[:, 2]):
+            step[r_sin, r_sin] = step[r_sin + 1, r_sin + 1] = -2.0 * math.sin(wh / 2.0) ** 2
+            step[r_sin, r_sin + 1] = math.sin(wh)
+            step[r_sin + 1, r_sin] = -math.sin(wh)
+        if const_on:
+            c = n_s + n_pw
+            step[z_rows, rows - 1] = g0[:, c] + g_half[:, c] + g1[:, c]
+        step[z_rows, rows:rows + n_noise] = psi[:, g.shape[1] - n_noise:]
+        self.y = np.zeros(width)
+        self.y[z_rows] = z
+        theta = inputs.freq[sin_ch] * t0 + inputs.phase[sin_ch]
+        self.y[s_sin] = np.sin(theta)
+        self.y[s_cos] = np.cos(theta)
+        if const_on:
+            self.y[rows - 1] = 1.0
+        self.dt = dt
+
+    def forcing(self, rng, k0, steps):
+        """The e rows of the next ``steps`` steps, the first at step k0; the
+        noise is drawn in one call, which consumes rng exactly as one
+        ``Generator.uniform`` call per family and step would."""
+        lo, hi = -self.bounds, self.bounds
+        parts = [lo + (hi - lo) * rng.random((steps, len(self.bounds)))]
+        if self.pieces:
+            dt = self.dt
+            parts += [np.array([np.concatenate([sig.evaluate(k * dt + tau)
+                                                for _, sig in self.pieces])
+                                for k in range(k0, k0 + steps)])
+                      for tau in (0.0, 0.5 * dt, dt)]
+        return np.hstack(parts)
+
+    def advance(self, y, ext, k0, check=False):
+        """Step y once per row of ``ext``, the first step at step k0; with
+        ``check``, raise NonFiniteError at the first non-finite state."""
+        step, dot = self.step, np.dot
+        head, tail = y[:len(step)], y[len(step):]
+        fill = len(tail) > 0
+        inc = np.empty(len(head))
+        for j in range(len(ext)):
+            if fill:
+                tail[...] = ext[j]
+            dot(step, y, out=inc)
+            head += inc
+            if check and not np.all(np.isfinite(head)):
+                raise NonFiniteError(
+                    f"state became non-finite at t={(k0 + j) * self.dt + self.dt:.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -555,30 +663,27 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
 
     pending = list(zip(event_steps, cfg.events))
     seg_start = 0
-    noise_on = cfg.noise.process > 0 or cfg.noise.measurement > 0
     while True:
         seg_end = pending[0][0] if pending else total_steps
-        m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
         at = np.ix_([0, 1] + [2 + all_labels.index(lab) for lab in labels],
                     _columns(col_of[lab] for lab in labels))
-        u_fn = _StackedInput(model, labels, cfg.inputs)
-        g_extra = np.zeros(m_mat.shape[0])
-
-        def f(tt, zz, m_mat=m_mat, g_u=g_u, u_fn=u_fn):
-            return m_mat @ zz + g_u @ u_fn(tt) + g_extra
-
-        for k in range(seg_start, seg_end):
-            if k in rec_pos:
-                rec[rec_pos[k]][at] = z.reshape(model.m + 2, model.n)
-            if noise_on:
-                g_extra = np.zeros(m_mat.shape[0])
-                if cfg.noise.process > 0:
-                    g_extra += g_w @ rng.uniform(-cfg.noise.process,
-                                                 cfg.noise.process, model.n)
-                if cfg.noise.measurement > 0:
-                    g_extra += g_v @ rng.uniform(-cfg.noise.measurement,
-                                                 cfg.noise.measurement, model.p)
-            z = integrate_step(f, z, k * cfg.dt, cfg.dt)
+        seg = _SegmentMap(model, gains, _StackedInput(model, labels, cfg.inputs),
+                          cfg.noise, z, seg_start * cfg.dt, cfg.dt)
+        y, dim = seg.y, len(z)
+        stops = [k for k in record_idx if seg_start <= k <= seg_end]
+        # a linear map never turns a non-finite entry finite again, so the
+        # check at each record point sees every failure; the failing stride
+        # is rerun step by step to name its first non-finite step.  Overflow
+        # is reported as that NonFiniteError, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k0, k1 in zip(stops, stops[1:]):
+                rec[rec_pos[k0]][at] = y[:dim].reshape(model.m + 2, model.n)
+                ext = seg.forcing(rng, k0, k1 - k0)
+                start = y.copy()
+                seg.advance(y, ext, k0)
+                if not np.all(np.isfinite(y)):
+                    seg.advance(start, ext, k0, check=True)
+        z = y[:dim]
         if not pending:
             rec[-1][at] = z.reshape(model.m + 2, model.n)
             break

@@ -79,6 +79,18 @@ class TestCheck:
         assert "PASS global observability" in out
         assert "PASS per-agent observability" in out
 
+    def test_sensing_communication_edge_out_of_range_fails(self, ring_sensing_file,
+                                                           tmp_path, capsys):
+        payload = json.loads(ring_sensing_file.read_text())
+        payload["communication"] = {"nodes": 6, "edges": [
+            [i, i % 6 + 1, 1.0] for i in range(1, 7)] + [[1, 9, 1.0]]}
+        path = tmp_path / "bad_comm.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("FAIL structure: "), captured.out
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["check", str(tmp_path / "nope.json")]) == 1
 
@@ -255,6 +267,8 @@ class TestMalformedInput:
             assert captured.out.startswith("FAIL structure: "), captured.out
         else:
             assert len(lines) == 1 and lines[0].startswith(stderr_start), lines
+        if bad == "no-communication":
+            assert "missing key 'communication'" in captured.out + captured.err
         assert not (tmp_path / "gains.json").exists()
 
 

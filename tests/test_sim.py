@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,7 @@ from masobs.scenarios import (coupled_triple_model,
 from masobs.sim import (ConstantInput, GainPolicy, JoinEvent, LeaveEvent,
                         NoiseSpec, PiecewiseInput, ScenarioConfig, SinusoidInput,
                         apply_event, check_exponential_envelope, error_norms,
-                        integrate_step, read_trace_csv, resolve_gains,
+                        read_trace_csv, resolve_gains, rk4_step_map,
                         run_scenario, scenario_from_json, scenario_to_json,
                         trace_columns, trace_matrix, write_metadata,
                         write_trace_csv)
@@ -44,34 +46,129 @@ def _random_model_with_inputs(rng):
         c_couplings={key: blk for key, blk in base.c_blocks.items() if key[0] != key[1]})
 
 
-class TestIntegrateStep:
+class TestStepMap:
+    @staticmethod
+    def _steps(m_mat, x, dt, count):
+        d = rk4_step_map(np.array(m_mat, float), dt, np.zeros((len(x), 0)))[0]
+        for _ in range(count):
+            x = x + d @ x
+        return x
+
     def test_constant_state(self):
-        out = integrate_step(lambda t, x: np.zeros_like(x), np.array([1.0, -2.0]),
-                             0.0, 0.1)
-        assert np.array_equal(out, [1.0, -2.0])
+        x = np.array([1.0, -2.0])
+        assert np.array_equal(self._steps(np.zeros((2, 2)), x, 0.1, 1), x)
 
     def test_scalar_decay_matches_closed_form(self):
-        x = np.array([1.0])
-        for k in range(100):
-            x = integrate_step(lambda t, v: -v, x, k * 0.1, 0.1)
+        x = self._steps([[-1.0]], np.array([1.0]), 0.1, 100)
         assert abs(x[0] - np.exp(-10.0)) < 1e-8
 
     def test_linear_system_matches_matrix_exponential(self):
         a = np.array([[1.2, 1.0], [0.0, 0.8]])
-        x = np.array([0.5, -0.5])
-        dt = 1e-3
-        for k in range(1000):
-            x = integrate_step(lambda t, v: a @ v, x, k * dt, dt)
+        x = self._steps(a, np.array([0.5, -0.5]), 1e-3, 1000)
         expected = scipy.linalg.expm(a) @ np.array([0.5, -0.5])
         assert np.max(np.abs(x - expected)) < 1e-10 * np.max(np.abs(expected)) + 1e-12
 
-    def test_nonfinite_detected(self):
-        with pytest.raises(NonFiniteError):
-            integrate_step(lambda t, v: v * np.inf, np.ones(2), 0.0, 0.1)
 
-    def test_bad_dt(self):
-        with pytest.raises(DomainError):
-            integrate_step(lambda t, v: v, np.ones(1), 0.0, 0.0)
+def _stacked_input(model, inputs, t):
+    u = np.zeros(model.k)
+    for lab, sig in (inputs or {}).items():
+        u[model.input_slice(lab)] = sig.evaluate(t)
+    return u
+
+
+def _reference_states(cfg):
+    """Classical RK4 over ``closed_loop_matrices``, four stage evaluations
+    per step and noise drawn per step with ``Generator.uniform``; returns
+    the segment state z, with its labels and model, at every recorded step.
+    ``cfg.inputs`` is read by agent index, which equals the label only until
+    the first event, so configs with events here carry no inputs."""
+    model, policy, labels = cfg.model, cfg.policy, tuple(cfg.model.agents)
+    gains, _ = resolve_gains(model, policy)
+    rng = np.random.default_rng(cfg.seed)
+    z = np.zeros((model.m + 2) * model.n)
+    z[:model.n] = cfg.initial_state
+    steps = int(round(cfg.t_end / cfg.dt))
+    pending = {int(round(e.time / cfg.dt)): e for e in cfg.events}
+    out = {}
+    for k in range(steps + 1):
+        if k in pending:
+            model, policy, gains, z, labels, _ = apply_event(
+                model, policy, z, pending[k], labels)
+        if k % cfg.record_every == 0 or k in pending or k == steps:
+            out[k] = (labels, model, z.copy())
+        if k == steps:
+            return out
+        m_mat, g_u, g_w, g_v = closed_loop_matrices(model, gains)
+        noise = np.zeros(len(z))
+        if cfg.noise.process > 0:
+            noise += g_w @ rng.uniform(-cfg.noise.process, cfg.noise.process, model.n)
+        if cfg.noise.measurement > 0:
+            noise += g_v @ rng.uniform(-cfg.noise.measurement, cfg.noise.measurement,
+                                       model.p)
+
+        def f(t, v):
+            return m_mat @ v + g_u @ _stacked_input(model, cfg.inputs, t) + noise
+
+        t, h = k * cfg.dt, cfg.dt
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
+        k4 = f(t + h, z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _assert_trace_matches_reference(cfg):
+    trace = run_scenario(cfg)
+    reference = _reference_states(cfg)
+    assert np.array_equal(trace.times, [k * cfg.dt for k in sorted(reference)])
+    for s, k in enumerate(sorted(reference)):
+        labels, model, z = reference[k]
+        rows = z.reshape(model.m + 2, model.n)
+        for pos, j in enumerate(labels):
+            cols = model.state_slice(pos + 1)
+            got = [trace.x[s, trace.label_slice(j)], trace.xbar[s, trace.label_slice(j)]]
+            want = [rows[0, cols], rows[1, cols]]
+            for i_pos, i in enumerate(labels):
+                got.append(trace.xhat[i][s, trace.label_slice(j)])
+                want.append(rows[2 + i_pos, cols])
+            err = np.max(np.abs(np.concatenate(got) - np.concatenate(want)))
+            assert err <= 1e-12 * np.linalg.norm(z), (k, j, err)
+
+
+class TestStepMapAgainstReferenceRk4:
+    def test_inputs_and_noise_on_random_models(self):
+        rng = np.random.default_rng(123)
+        checked = 0
+        while checked < 3:
+            model = _random_model_with_inputs(rng)
+            widths = [sl.stop - sl.start for sl in map(model.input_slice, model.agents)]
+            if sum(w > 0 for w in widths) < 3:
+                continue
+            labs = [lab for lab, w in zip(model.agents, widths) if w > 0]
+            inputs = {
+                labs[0]: ConstantInput(tuple(rng.standard_normal(widths[labs[0] - 1]))),
+                labs[1]: SinusoidInput(tuple(rng.standard_normal(widths[labs[1] - 1])),
+                                       float(rng.uniform(0.5, 3.0)),
+                                       tuple(rng.uniform(0, 6, widths[labs[1] - 1]))),
+                labs[2]: PiecewiseInput((0.0, 0.0503, 0.1),
+                                        tuple(tuple(rng.standard_normal(widths[labs[2] - 1]))
+                                              for _ in range(3))),
+            }
+            cfg = ScenarioConfig(
+                model=model, policy=GainPolicy(mu="global"), inputs=inputs,
+                noise=NoiseSpec(process=0.05, measurement=0.02), t_end=0.2, dt=1e-3,
+                seed=int(rng.integers(1000)), record_every=7,
+                initial_state=tuple(rng.standard_normal(model.n)))
+            _assert_trace_matches_reference(cfg)
+            checked += 1
+
+    def test_join_then_leave_with_noise(self):
+        join = plugin_join_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        leave = LeaveEvent(time=0.2, label=2,
+                           communication=((1, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)))
+        cfg = replace(join, events=join.events + (leave,), record_every=30,
+                      noise=NoiseSpec(process=0.05, measurement=0.05))
+        _assert_trace_matches_reference(cfg)
 
 
 class TestSignals:
@@ -215,6 +312,22 @@ class TestRunScenario:
                                   initial_state=cfg.initial_state)
         t3 = run_scenario(reseeded)
         assert not np.array_equal(trace_matrix(t1), trace_matrix(t3))
+
+    def test_overflow_inside_a_record_stride_names_its_step(self):
+        cfg = replace(_short_triple(), dt=0.5, t_end=1000.0, record_every=10)
+        gains, _ = resolve_gains(cfg.model, cfg.policy)
+        m_mat, _, _, _ = closed_loop_matrices(cfg.model, gains)
+        d = rk4_step_map(m_mat, cfg.dt, np.zeros((len(m_mat), 0)))[0]
+        z = np.zeros(len(d))
+        z[:cfg.model.n] = cfg.initial_state
+        k = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.all(np.isfinite(z)):
+                z = z + d @ z
+                k += 1
+        assert k % cfg.record_every != 0 and k < 2000
+        with pytest.raises(NonFiniteError, match=f"at t={(k - 1) * cfg.dt + cfg.dt:.6g}$"):
+            run_scenario(cfg)
 
     def test_disconnected_communication_rejected(self):
         model = MasModel.build(
@@ -361,3 +474,9 @@ class TestScenarioSerialization:
         with pytest.raises(DomainError):
             ScenarioConfig(model=model, t_end=1.0, dt=0.1,
                            events=(LeaveEvent(time=2.0, label=1),))
+
+    def test_bad_dt(self):
+        model = coupled_triple_model()
+        for dt in (0.0, -0.1):
+            with pytest.raises(DomainError):
+                ScenarioConfig(model=model, t_end=1.0, dt=dt)
