@@ -62,6 +62,8 @@ def _sensing_ids(obj: dict):
     ids = obj.get("ids")
     if ids is None:
         return None
+    if not isinstance(ids, dict):
+        raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
     return {int(k): int(v) for k, v in ids.items()}
 
 
@@ -280,12 +282,17 @@ def _write_bundle(out_dir: Path, cfg, trace, subsample: int) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.subsample < 1:
+        return _fail(EXIT_USAGE, f"--subsample must be at least 1, got {args.subsample}")
     obj = _load_json(args.path)
     try:
         cfg = scenario_from_file(obj)
     except (KeyError, TypeError, ValueError, MasobsError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse scenario: {_reason(exc)}")
-    cfg = _apply_overrides(cfg, args)
+    try:
+        cfg = _apply_overrides(cfg, args)
+    except DomainError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     out_dir = Path(args.out) if args.out else Path(args.path).with_suffix("") \
         .with_name(Path(args.path).stem + "_out")
     try:
@@ -304,16 +311,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.subsample < 1:
+        return _fail(EXIT_USAGE, f"--subsample must be at least 1, got {args.subsample}")
     keys = list(scen_mod.EXPERIMENT_KEYS) if args.experiment == "all" \
         else [args.experiment]
     out_root = Path(args.out) if args.out else Path("reproduce_out")
-    overall_ok = True
+    # every override is checked before the first bundle is written
+    runs = []
     for key in keys:
         try:
             experiment = scen_mod.build_experiment(key)
         except KeyError as exc:
             return _fail(EXIT_USAGE, str(exc))
-        cfg = _apply_overrides(experiment.config, args)
+        try:
+            runs.append((experiment, _apply_overrides(experiment.config, args)))
+        except DomainError as exc:
+            return _fail(EXIT_USAGE, f"{experiment.key}: {exc}")
+    overall_ok = True
+    for experiment, cfg in runs:
         print(f"[{experiment.key}] {experiment.title}")
         try:
             trace = sim_mod.run_scenario(cfg)
@@ -321,6 +336,8 @@ def cmd_reproduce(args) -> int:
             return _fail(EXIT_DIVERGED, f"{experiment.key}: {exc}")
         except (AssumptionError, ConnectivityError) as exc:
             return _fail(EXIT_CHECK, f"{experiment.key}: {exc}")
+        except (DimensionError, DomainError) as exc:
+            return _fail(EXIT_USAGE, f"{experiment.key}: {exc}")
         bundle = out_root / experiment.key
         _write_bundle(bundle, cfg, trace, args.subsample)
         lines = []
@@ -339,13 +356,16 @@ def cmd_reproduce(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_dagc(args) -> int:
+    if args.seed < 0:
+        return _fail(EXIT_USAGE, f"--seed must be nonnegative, got {args.seed}")
     obj = _load_json(args.path)
     try:
         sg = sensing_from_json(obj)
-    except (KeyError, ValueError) as exc:
+        ids = _sensing_ids(obj)
+    except (KeyError, TypeError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"cannot parse sensing scenario: {_reason(exc)}")
     try:
-        assignment = loc_mod.dagc(sg, ids=_sensing_ids(obj), seed=args.seed)
+        assignment = loc_mod.dagc(sg, ids=ids, seed=args.seed)
     except LayerError as exc:
         return _fail(EXIT_CHECK, str(exc))
     oriented = DirectedGraph.from_edges(sg.agent_count, assignment.oriented_edges)

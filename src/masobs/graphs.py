@@ -97,11 +97,6 @@ class DirectedGraph:
             raise ValueError("union requires equal node counts")
         return DirectedGraph(np.maximum(self.weights, other.weights))
 
-    def restrict(self, keep) -> "DirectedGraph":
-        """Induced subgraph on ``keep`` (a sequence of node labels, in order)."""
-        idx = [k - 1 for k in keep]
-        return DirectedGraph(self.weights[np.ix_(idx, idx)])
-
     def to_text(self) -> str:
         """Serialize as a plain-text adjacency list (one edge per line)."""
         lines = [f"nodes {self.node_count}"]

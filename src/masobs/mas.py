@@ -207,36 +207,15 @@ class StackedSystem:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    state_dims: tuple
-    input_dims: tuple
-    output_dims: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "a", _freeze(self.a))
         object.__setattr__(self, "b", _freeze(self.b))
         object.__setattr__(self, "c", _freeze(self.c))
 
-    def _offsets(self, dims):
-        return np.concatenate(([0], np.cumsum(dims)))
-
-    def state_block(self, i: int, j: int) -> np.ndarray:
-        off = self._offsets(self.state_dims)
-        return self.a[off[i - 1]:off[i], off[j - 1]:off[j]]
-
-    def input_block(self, i: int) -> np.ndarray:
-        roff = self._offsets(self.state_dims)
-        coff = self._offsets(self.input_dims)
-        return self.b[roff[i - 1]:roff[i], coff[i - 1]:coff[i]]
-
-    def output_block(self, i: int, j: int) -> np.ndarray:
-        roff = self._offsets(self.output_dims)
-        coff = self._offsets(self.state_dims)
-        return self.c[roff[i - 1]:roff[i], coff[j - 1]:coff[j]]
-
 
 def stack(mas: MasModel) -> StackedSystem:
     """Assemble the stacked system with zero fill for absent couplings."""
-    dims = mas.state_dims
     a = np.zeros((mas.n, mas.n))
     for (i, j), block in mas.a_blocks.items():
         a[mas.state_slice(i), mas.state_slice(j)] = block
@@ -246,8 +225,7 @@ def stack(mas: MasModel) -> StackedSystem:
     c = np.zeros((mas.p, mas.n))
     for (i, j), block in mas.c_blocks.items():
         c[mas.output_slice(i), mas.state_slice(j)] = block
-    return StackedSystem(a=a, b=b, c=c, state_dims=dims,
-                         input_dims=mas.input_dims, output_dims=mas.output_dims)
+    return StackedSystem(a=a, b=b, c=c)
 
 
 def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -69,9 +69,6 @@ class ObserverGains:
         object.__setattr__(self, "weights", MappingProxyType(ws))
         object.__setattr__(self, "mu", float(self.mu))
 
-    def leader_weight(self, i: int) -> float:
-        return float(self.weights[i][i, 0])
-
 
 def validate_gains(model: MasModel, gains: ObserverGains) -> None:
     """Check shapes, Hurwitz Luenberger loops, and weight/edge compatibility."""
@@ -557,13 +554,22 @@ def error_derivative(model: MasModel, gains: ObserverGains, state: ObserverState
 # error-dynamics assembly
 # ----------------------------------------------------------------------
 
+def _error_index(model: MasModel, ordering) -> np.ndarray:
+    """z-indices of the stacked error E in the order of this module's docstring.
+
+    Entry r * n + c of z estimates plant entry c for every row r >= 1 of
+    ``z.reshape(m + 2, n)``, so E = z[est] - z[est % n].
+    """
+    grid = np.arange((model.m + 2) * model.n).reshape(model.m + 2, model.n)
+    return np.concatenate([grid[1:, model.state_slice(j)].ravel() for j in ordering])
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorDynamics:
-    """Error-dynamics blocks: per-target diagonal blocks, coupling blocks,
-    and the stacked matrix R (block lower triangular in ``ordering``)."""
+    """The stacked error matrix R (block lower triangular in ``ordering``)
+    and its diagonal block T_j for every target j."""
 
     t_blocks: "MappingProxyType"
-    q_blocks: "MappingProxyType"
     r: np.ndarray
     ordering: tuple
 
@@ -571,69 +577,25 @@ class ErrorDynamics:
         object.__setattr__(self, "t_blocks",
                            MappingProxyType({k: mas_mod._freeze(v)
                                              for k, v in dict(self.t_blocks).items()}))
-        object.__setattr__(self, "q_blocks",
-                           MappingProxyType({k: mas_mod._freeze(v)
-                                             for k, v in dict(self.q_blocks).items()}))
         object.__setattr__(self, "r", mas_mod._freeze(self.r))
         object.__setattr__(self, "ordering", tuple(self.ordering))
 
 
 def assemble_error_dynamics(model: MasModel, gains: ObserverGains) -> ErrorDynamics:
-    """Build the T and Q blocks and the permuted stacked matrix R.
+    """R read off :func:`closed_loop_matrices` at the error indices.
 
-    The diagonal block for target j couples the auxiliary error into the
-    consensus errors through the (mu-scaled) leader column of the grounded
-    Laplacian partition; couplings between different targets enter through
-    the dynamics and sensing blocks exactly as the error equations dictate,
-    so R equals the Jacobian of the stacked error derivative.
+    dE/dt = M[est, est] E: the plant rows of M have no estimate columns, and
+    the plant columns cancel in the error rows because the observer
+    reproduces x when E = 0.
     """
     ordering = check_topological_consistency(model)
     validate_gains(model, gains)
-    m = model.m
-    mu = gains.mu
-    t_blocks = {}
-    for j in model.agents:
-        n_j = model.state_dims[j - 1]
-        blocks = grounded_partition(gains.weights[j])
-        a_jj = model.a_blocks[(j, j)]
-        loop = a_jj - gains.luenberger[j] @ model.c_blocks[(j, j)]
-        t = np.zeros(((m + 1) * n_j, (m + 1) * n_j))
-        t[:n_j, :n_j] = loop
-        t[n_j:, :n_j] = mu * np.kron(blocks.o_vector.reshape(m, 1), np.eye(n_j))
-        t[n_j:, n_j:] = np.kron(np.eye(m), a_jj) - mu * np.kron(blocks.s_matrix, np.eye(n_j))
-        t_blocks[j] = t
-    q_blocks = {}
-    for j in model.agents:
-        n_j = model.state_dims[j - 1]
-        f_j = gains.luenberger[j]
-        s_in = set(model.dynamics_graph.in_neighbors(j))
-        o_in = set(model.sensing_graph.in_neighbors(j))
-        for l in sorted(s_in | o_in):
-            n_l = model.state_dims[l - 1]
-            q = np.zeros(((m + 1) * n_j, (m + 1) * n_l))
-            top = np.zeros((n_j, n_l))
-            if l in s_in:
-                top = top + model.a_blocks[(j, l)]
-                q[n_j:, n_l:] = np.kron(np.eye(m), model.a_blocks[(j, l)])
-            if l in o_in:
-                top = top - f_j @ model.c_blocks[(j, l)]
-            # the auxiliary error of target j sees agent j's own estimate of l
-            col = n_l * j  # block offset of estimator j inside E_l
-            q[:n_j, col:col + n_l] = top
-            q_blocks[(j, l)] = q
-    sizes = [(m + 1) * model.state_dims[j - 1] for j in ordering]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    r = np.zeros((offsets[-1], offsets[-1]))
-    pos = {j: idx for idx, j in enumerate(ordering)}
-    for j in model.agents:
-        a = pos[j]
-        r[offsets[a]:offsets[a + 1], offsets[a]:offsets[a + 1]] = t_blocks[j]
-    for (j, l), q in q_blocks.items():
-        a, b = pos[j], pos[l]
-        if b > a:
-            raise AssertionError("coupling source appears after its target in the ordering")
-        r[offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = q
-    return ErrorDynamics(t_blocks=t_blocks, q_blocks=q_blocks, r=r, ordering=ordering)
+    est = _error_index(model, ordering)
+    r = closed_loop_matrices(model, gains)[0][np.ix_(est, est)]
+    sizes = [(model.m + 1) * model.state_dims[j - 1] for j in ordering]
+    t_blocks = {j: r[end - size:end, end - size:end]
+                for j, end, size in zip(ordering, np.cumsum(sizes), sizes)}
+    return ErrorDynamics(t_blocks=t_blocks, r=r, ordering=ordering)
 
 
 def is_hurwitz(matrix, tol: float = HURWITZ_TOL) -> bool:
@@ -656,9 +618,7 @@ def error_disturbance_matrices(model: MasModel, gains: ObserverGains, ordering=N
     if ordering is None:
         ordering = check_topological_consistency(model)
     _, g_u, g_w, g_v = closed_loop_matrices(model, gains)
-    # entry r * n + c of z estimates plant entry c for every row r >= 1
-    grid = np.arange(g_u.shape[0]).reshape(model.m + 2, model.n)
-    est = np.concatenate([grid[1:, model.state_slice(j)].ravel() for j in ordering])
+    est = _error_index(model, ordering)
     plant = est % model.n
     return {"unknown_input": g_u[est] - g_u[plant],
             "process": g_w[est] - g_w[plant],

@@ -177,8 +177,11 @@ class ScenarioConfig:
     initial_estimates: object = "zero"
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.t_end):
-            raise DomainError("need 0 < dt <= t_end")
+        if not (0 < self.dt <= self.t_end < math.inf):
+            raise DomainError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, "
+                              f"t_end={self.t_end}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         times = [e.time for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise DomainError("event times must be strictly increasing")
@@ -995,10 +998,6 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_json(cfg), indent=2) + "\n")
-
-
-def load_scenario(path) -> ScenarioConfig:
-    return scenario_from_json(json.loads(Path(path).read_text()))
 
 
 def write_metadata(path, trace: SimulationTrace, config_json=None) -> None:

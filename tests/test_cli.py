@@ -223,6 +223,40 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
+class TestBadOverrides:
+    """A bad command-line override exits 1 with one ``error:`` line and
+    writes no output directory."""
+
+    @pytest.mark.parametrize("command, target, extra", [
+        pytest.param("run", None, ["--dt", "0"], id="run-dt-zero"),
+        pytest.param("run", None, ["--dt", "nan"], id="run-dt-nan"),
+        pytest.param("run", None, ["--t-end", "0.0001"], id="run-t-end-below-dt"),
+        pytest.param("run", None, ["--t-end", "inf"], id="run-t-end-inf"),
+        pytest.param("run", None, ["--seed", "-1"], id="run-seed-negative"),
+        pytest.param("run", None, ["--subsample", "0"], id="run-subsample-zero"),
+        pytest.param("run", None, ["--subsample", "-1"], id="run-subsample-negative"),
+        pytest.param("reproduce", "5A-basic", ["--dt", "-1"], id="reproduce-dt-negative"),
+        pytest.param("reproduce", "5A-join", ["--t-end", "10"],
+                     id="reproduce-event-after-t-end"),
+        pytest.param("reproduce", "all", ["--t-end", "10"],
+                     id="reproduce-all-event-after-t-end"),
+        pytest.param("reproduce", "5A-basic", ["--seed", "-1"],
+                     id="reproduce-seed-negative"),
+        pytest.param("reproduce", "5A-basic", ["--subsample", "0"],
+                     id="reproduce-subsample-zero"),
+        pytest.param("reproduce", "5A-basic", ["--mu", "-1"], id="reproduce-mu-negative"),
+    ])
+    def test_exits_one_without_output(self, tmp_path, capsys, command, target, extra):
+        if target is None:
+            target = tmp_path / "scenario.json"
+            save_scenario(coupled_triple_scenario(t_end=1.0), target)
+        out_dir = tmp_path / "out"
+        assert cli.main([command, str(target), *extra, "--out", str(out_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out_dir.exists()
+
+
 BAD_MODELS = ("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
 
 
@@ -294,6 +328,24 @@ class TestDagc:
         path = tmp_path / "disc.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["dagc", str(path)]) == 2
+
+    @pytest.mark.parametrize("field, value, extra", [
+        pytest.param("agents", [3], [], id="agents-list"),
+        pytest.param("ids", {str(k): "a" for k in RING_IDS}, [], id="ids-not-integers"),
+        pytest.param("ids", [1, 2], [], id="ids-list"),
+        pytest.param(None, None, ["--seed", "-1"], id="seed-negative"),
+    ])
+    def test_malformed_input_exits_one(self, ring_sensing_file, tmp_path, capsys,
+                                       field, value, extra):
+        if field is not None:
+            payload = json.loads(ring_sensing_file.read_text())
+            payload[field] = value
+            ring_sensing_file.write_text(json.dumps(payload))
+        out_dir = tmp_path / "dagc"
+        assert cli.main(["dagc", str(ring_sensing_file), *extra, "--out", str(out_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out_dir.exists()
 
 
 class TestReproduce:

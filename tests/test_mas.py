@@ -59,11 +59,15 @@ class TestStack:
             model = random_mas_model(rng)
             stacked = stack(model)
             for (i, j), block in model.a_blocks.items():
-                assert np.array_equal(stacked.state_block(i, j), block)
+                assert np.array_equal(
+                    stacked.a[model.state_slice(i), model.state_slice(j)], block)
             for (i, j), block in model.c_blocks.items():
-                assert np.array_equal(stacked.output_block(i, j), block)
+                assert np.array_equal(
+                    stacked.c[model.output_slice(i), model.state_slice(j)], block)
             for i in model.agents:
-                assert np.array_equal(stacked.input_block(i), model.b_blocks[i])
+                assert np.array_equal(
+                    stacked.b[model.state_slice(i), model.input_slice(i)],
+                    model.b_blocks[i])
 
     def test_inconsistent_blocks_rejected(self):
         with pytest.raises(DimensionError):

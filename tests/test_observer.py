@@ -7,8 +7,9 @@ from masobs.graphs import DirectedGraph, augment, binary_weights, grounded_parti
 from masobs.mas import (MasModel, check_topological_consistency,
                         plant_derivative, plant_output)
 from masobs.observer import (ObserverGains, assemble_error_dynamics,
-                             consensus_weight_set, coupling_gain_directed,
-                             coupling_gain_global, coupling_gain_undirected,
+                             closed_loop_matrices, consensus_weight_set,
+                             coupling_gain_directed, coupling_gain_global,
+                             coupling_gain_undirected,
                              design_gains, design_luenberger_gain,
                              error_derivative, error_dim,
                              error_disturbance_matrices, error_vector,
@@ -17,7 +18,8 @@ from masobs.observer import (ObserverGains, assemble_error_dynamics,
                              iss_error_bound, observer_derivative,
                              observer_state_from_errors, validate_gains,
                              zero_observer_state)
-from masobs.scenarios import coupled_triple_gains, coupled_triple_model
+from masobs.scenarios import (EXPERIMENT_KEYS, build_experiment, coupled_triple_gains,
+                              coupled_triple_model)
 from masobs.sim import resolve_gains
 from masobs.synth import (random_connected_undirected, random_mas_model,
                           random_observable_pair, random_strongly_connected)
@@ -183,7 +185,6 @@ class TestErrorDynamicsAssembly:
             communication=DirectedGraph.from_edges(2, [(1, 2), (2, 1)]))
         gains, _ = design_gains(model, weights="binary", mu=10.0)
         dynamics = assemble_error_dynamics(model, gains)
-        assert not dynamics.q_blocks
         off = np.array(dynamics.r)
         off[:3, :3] = 0.0
         off[3:, 3:] = 0.0
@@ -221,6 +222,41 @@ class TestErrorDynamicsAssembly:
                                  for lam_a in np.linalg.eigvals(a_jj)
                                  for lam_s in np.linalg.eigvals(s)])
             assert _multiset_close(got, expected, tol=1e-8)
+
+
+def _plant_leak(model, gains):
+    """Largest plant-column entry of the error rows of T M T^-1, relative to
+    max|M|, where T maps z to [x; z_r - x] for every estimate entry z_r."""
+    m_mat = closed_loop_matrices(model, gains)[0]
+    n = model.n
+    est = np.arange(n, m_mat.shape[0])
+    t = np.eye(len(m_mat))
+    t[est, est % n] = -1.0
+    t_inv = np.eye(len(m_mat))
+    t_inv[est, est % n] = 1.0
+    leak = (t @ m_mat @ t_inv)[n:, :n]
+    return np.max(np.abs(leak)) / np.max(np.abs(m_mat))
+
+
+class TestErrorRowsIgnorePlant:
+    """R can be read off M by index only because the error rows of M, taken
+    in error coordinates, have no plant columns: the observer reproduces x
+    when every estimate error is zero."""
+
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_shipped_models(self, key):
+        cfg = build_experiment(key).config
+        gains, _ = resolve_gains(cfg.model, cfg.policy)
+        assert _plant_leak(cfg.model, gains) <= 1e-12
+
+    @pytest.mark.parametrize("rule", ["binary", "normalized-in", "normalized-out"])
+    @pytest.mark.parametrize("mode", ["full", "own-only"])
+    def test_random_models(self, rule, mode):
+        rng = np.random.default_rng(59)
+        for _ in range(8):
+            model = random_mas_model(rng)
+            gains, _ = design_gains(model, weights=rule, mu="global", input_mode=mode)
+            assert _plant_leak(model, gains) <= 1e-12
 
 
 class TestStabilizability:
