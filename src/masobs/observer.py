@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 
 from . import graphs, mas as mas_mod
 from .errors import ConnectivityError, DimensionError, DomainError, UnobservableError
@@ -163,8 +162,7 @@ def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
     margin-shifted pair.  Either way every closed-loop eigenvalue ends up
     with real part <= -margin.
     """
-    # imported here: scipy.signal dominates the package import time and only
-    # this design uses it
+    # scipy loads on first use, so `import masobs` and explicit gains skip it
     import scipy.signal
 
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -186,6 +184,7 @@ def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
         if worst > -margin * (1.0 - 1e-6) + 1e-9:
             f = None
     if f is None:
+        import scipy.linalg
         shifted = a + margin * np.eye(n)
         p = scipy.linalg.solve_continuous_are(shifted.T, c.T, np.eye(n), np.eye(c.shape[0]))
         f = p @ c.T
@@ -651,6 +650,7 @@ def fit_decay_envelope(r: np.ndarray, t_max: float = 20.0, samples: int = 200,
         raise DomainError("matrix is not Hurwitz; no decay envelope exists")
     eta = rate_fraction * (-alpha)
     dt = t_max / (samples - 1)
+    import scipy.linalg
     step = scipy.linalg.expm(r * dt)
     power = np.eye(r.shape[0])
     kappa = 1.0

@@ -607,7 +607,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     gains, report = resolve_gains(model, policy, labels)
     rng = np.random.default_rng(cfg.seed)
 
-    total_steps = int(round(cfg.t_end / cfg.dt))
+    steps = cfg.t_end / cfg.dt
+    if steps > 2 ** 53:  # beyond it a step index k is no longer exact as a float
+        raise DomainError(f"dt={cfg.dt} is too small for t_end={cfg.t_end}: "
+                          f"{steps:.3g} steps exceed 2**53")
+    total_steps = int(round(steps))
     if total_steps < 1:
         raise DomainError("t_end shorter than one step")
     event_steps = []
@@ -635,9 +639,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
         start += dims[lab]
     n_total = start
 
-    record_idx = sorted({k for k in range(0, total_steps + 1)
-                         if k % cfg.record_every == 0}
-                        | set(event_steps) | {total_steps})
+    record_idx = np.union1d(np.arange(0, total_steps + 1, cfg.record_every),
+                            event_steps + [total_steps]).tolist()
     rec_pos = {k: idx for idx, k in enumerate(record_idx)}
     n_rec = len(record_idx)
 
@@ -816,10 +819,6 @@ def check_iss_bound(trace: SimulationTrace, kappa: float, eta: float,
 # CSV / metadata output
 # ----------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def trace_columns(trace: SimulationTrace):
     """Column names in file order (states, estimates, then error norms)."""
     cols = ["t"]
@@ -856,10 +855,10 @@ def write_trace_csv(trace: SimulationTrace, path, subsample: int = 1) -> None:
     # keep the final sample even when subsampling skips it
     if (len(trace.times) - 1) % subsample != 0:
         matrix = np.vstack([matrix, full[-1]])
-    lines = [",".join(trace_columns(trace))]
-    for row in matrix:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # tolist() yields Python floats, whose repr is the shortest round-trip form
+    with open(path, "w") as fh:
+        fh.write(",".join(trace_columns(trace)) + "\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in matrix)
 
 
 def read_trace_csv(path):

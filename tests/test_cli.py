@@ -381,5 +381,44 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 3
 
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+    def test_too_many_steps_refused_at_once(self, tmp_path, dt):
+        scenario = tmp_path / "scenario.json"
+        save_scenario(coupled_triple_scenario(t_end=1.0), scenario)
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "masobs.cli", "run", str(scenario), "--dt", dt,
+             "--t-end", "1", "--out", str(out_dir)],
+            capture_output=True, text=True, timeout=15)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: dt={dt}"), lines
+        assert not out_dir.exists()
+
+    def test_scipy_loaded_only_on_first_use(self, tmp_path):
+        payload = _ring_localization_payload("single")
+        payload["gain_block"] = [[-1.0, 0.0], [0.0, -0.5]]
+        scenario = tmp_path / "loc.json"
+        scenario.write_text(json.dumps(payload))
+        argv = ["run", str(scenario), "--out", str(tmp_path / "out")]
+        # a fresh interpreter, so the modules this test process loaded do not count
+        script = f"""
+import sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+import masobs
+assert not scipy_modules(), scipy_modules()
+from masobs import cli
+assert cli.main({argv!r}) == 0
+assert not scipy_modules(), scipy_modules()
+from masobs.observer import design_gains
+from masobs.scenarios import coupled_triple_model
+gains, _ = design_gains(coupled_triple_model(), luenberger="auto")
+assert sorted(gains.luenberger) == [1, 2, 3]
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_usage_error(self):
         assert cli.main(["frobnicate"]) == 1

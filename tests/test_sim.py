@@ -18,8 +18,8 @@ from masobs.scenarios import (coupled_triple_model,
                               plugin_join_scenario, plugin_leave_scenario,
                               plugin_policy, ring_localization_scenario)
 from masobs.sim import (ConstantInput, GainPolicy, JoinEvent, LeaveEvent,
-                        NoiseSpec, PiecewiseInput, ScenarioConfig, SinusoidInput,
-                        apply_event, check_exponential_envelope, error_norms,
+                        NoiseSpec, PiecewiseInput, ScenarioConfig, SimulationTrace,
+                        SinusoidInput, apply_event, check_exponential_envelope, error_norms,
                         read_trace_csv, resolve_gains, rk4_step_map,
                         run_scenario, scenario_from_json, scenario_to_json,
                         trace_columns, trace_matrix, write_metadata,
@@ -203,6 +203,25 @@ class TestRunScenario:
                              initial_estimates=estimates)
         trace = run_scenario(cfg)
         assert np.all(trace.total_error <= 1e-9)
+
+    @pytest.mark.parametrize("make, kwargs, record_every", [
+        pytest.param(_short_triple, dict(t_end=0.05), every, id=f"triple-every-{every}")
+        for every in (1, 7, 10, 50, 51)
+    ] + [
+        pytest.param(plugin_leave_scenario, dict(t_end=0.05, event_time=0.0213), every,
+                     id=f"leave-every-{every}") for every in (1, 7, 200, 600)
+    ] + [
+        pytest.param(plugin_join_scenario, dict(t_end=0.05, event_time=0.03), 13,
+                     id="join-every-13"),
+    ])
+    def test_record_times_are_multiples_events_and_end(self, make, kwargs, record_every):
+        cfg = replace(make(**kwargs), record_every=record_every)
+        total = int(round(cfg.t_end / cfg.dt))
+        events = {int(round(e.time / cfg.dt)) for e in cfg.events}
+        steps = sorted({k for k in range(total + 1) if k % record_every == 0}
+                       | events | {total})
+        trace = run_scenario(cfg)
+        assert np.array_equal(trace.times, [k * cfg.dt for k in steps])
 
     def test_initial_estimate_for_unknown_agent_rejected(self):
         cfg = _short_triple()
@@ -444,6 +463,24 @@ class TestTraceOutput:
         write_trace_csv(trace, path, subsample=7)
         _, data = read_trace_csv(path)
         assert data[-1, 0] == pytest.approx(trace.times[-1])
+
+    @pytest.mark.parametrize("subsample", [1, 7])
+    def test_csv_bytes_are_float_repr(self, tmp_path, subsample):
+        values = [np.nan, -0.0, 0.1, 1e16, 1e-05, 5e-324]
+        cells = np.resize(values, (10, 7))  # every value lands in every column
+        trace = SimulationTrace(
+            labels=(1,), state_dims={1: 1}, times=cells[:, 0], x=cells[:, 1:2],
+            xbar=cells[:, 2:3], xhat={1: cells[:, 3:4]}, pair_errors={(1, 1): cells[:, 4]},
+            bar_errors={1: cells[:, 5]}, total_error=cells[:, 6], events=[], gain_log=[],
+            meta={})
+        rows = list(cells[::subsample])
+        if (len(cells) - 1) % subsample:
+            rows.append(cells[-1])
+        lines = [",".join(trace_columns(trace))]
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, subsample=subsample)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_summary_settling_times(self):
         trace = run_scenario(_short_triple(t_end=10.0))
