@@ -118,77 +118,30 @@ def consensus_weight_set(gc: DirectedGraph, rule="binary"):
 # Luenberger gain design
 # ----------------------------------------------------------------------
 
-def _mirrored_poles(eigenvalues: np.ndarray, margin: float):
-    """Reflect eigenvalues right of -margin and spread exact repeats.
-
-    Conjugate pairing is preserved; repeated target locations are separated
-    by deterministic leftward shifts so a pole placement routine accepts
-    them regardless of the output dimension.
-    """
-    reps = []  # (real, imag>=0, count)
-    for lam in eigenvalues:
-        re, im = float(lam.real), abs(float(lam.imag))
-        if im < 1e-9:
-            reps.append((re, 0.0))
-        elif lam.imag > 0:
-            reps.append((re, im))
-    mirrored = []
-    for re, im in reps:
-        if re > -margin:
-            re = -2.0 * margin - re
-        mirrored.append((re, im))
-    mirrored.sort()
-    seen = {}
-    poles = []
-    for re, im in mirrored:
-        key = (round(re, 9), round(im, 9))
-        bump = seen.get(key, 0)
-        seen[key] = bump + 1
-        re = re - 0.15 * margin * bump
-        if im == 0.0:
-            poles.append(complex(re, 0.0))
-        else:
-            poles.append(complex(re, im))
-            poles.append(complex(re, -im))
-    return np.array(sorted(poles, key=lambda z: (z.real, z.imag)))
-
-
 def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
     """Deterministic output-injection gain with a guaranteed stability margin.
 
-    Places the eigenvalues of A - F C at the spectrum of A mirrored to the
-    left of ``-margin`` (dual-system pole placement); if the placement
-    routine rejects the pole set, falls back to a Riccati design on the
-    margin-shifted pair.  Either way every closed-loop eigenvalue ends up
-    with real part <= -margin.
+    Riccati design on the margin-shifted pair: F = P C^T with P the
+    stabilising solution of the filter Riccati equation for
+    (A + margin I, C) and unit weights.  A + margin I - F C is then Hurwitz,
+    so every eigenvalue of A - F C has real part below ``-margin``.
     """
     # scipy loads on first use, so `import masobs` and explicit gains skip it
-    import scipy.signal
+    import scipy.linalg
 
     a = np.atleast_2d(np.asarray(a, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    if margin <= 0:
-        raise DomainError(f"margin must be positive, got {margin}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise DomainError(f"margin must be finite and positive, got {margin}")
     if not is_observable(a, c):
         raise UnobservableError("pair (A, C) is not observable")
     n = a.shape[0]
-    f = None
+    shifted = a + margin * np.eye(n)
     try:
-        poles = _mirrored_poles(np.linalg.eigvals(a), margin)
-        placed = scipy.signal.place_poles(a.T, c.T, poles)
-        f = placed.gain_matrix.T
-    except ValueError:
-        f = None
-    if f is not None:
-        worst = np.max(np.linalg.eigvals(a - f @ c).real)
-        if worst > -margin * (1.0 - 1e-6) + 1e-9:
-            f = None
-    if f is None:
-        import scipy.linalg
-        shifted = a + margin * np.eye(n)
         p = scipy.linalg.solve_continuous_are(shifted.T, c.T, np.eye(n), np.eye(c.shape[0]))
-        f = p @ c.T
-    return f
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"no Riccati gain for margin {margin}: {exc}") from None
+    return p @ c.T
 
 
 # ----------------------------------------------------------------------
@@ -206,14 +159,12 @@ def spectral_radius(matrix) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(matrix)))))
 
 
-def coupling_gain_global(model: MasModel, weights) -> int:
-    """Coupling gain from the actual grounded spectra of every target graph.
+def _min_grounded_modulus(model: MasModel, weights) -> float:
+    """min_{q,j} |eig_q(S_j)| over the grounded follower blocks of every target.
 
-    Evaluates max_j rho(A_jj) / min_{q,j} |eig_q(S_j)| and returns the
-    smallest integer strictly above it.  A (numerically) singular follower
-    block means the communication graph is not strongly connected.
+    A (numerically) singular follower block means the communication graph
+    is not strongly connected.
     """
-    rho_max = max(spectral_radius(model.a_blocks[(j, j)]) for j in model.agents)
     min_mod = np.inf
     scale = 0.0
     for j in model.agents:
@@ -225,7 +176,17 @@ def coupling_gain_global(model: MasModel, weights) -> int:
         raise ConnectivityError(
             "a grounded follower block is singular; the communication graph "
             "is not strongly connected")
-    return _next_integer_above(rho_max / min_mod)
+    return min_mod
+
+
+def coupling_gain_global(model: MasModel, weights) -> int:
+    """Coupling gain from the actual grounded spectra of every target graph.
+
+    Evaluates max_j rho(A_jj) / min_{q,j} |eig_q(S_j)| and returns the
+    smallest integer strictly above it.
+    """
+    rho_max = max(spectral_radius(model.a_blocks[(j, j)]) for j in model.agents)
+    return _next_integer_above(rho_max / _min_grounded_modulus(model, weights))
 
 
 def coupling_bound_undirected(rho_max: float, m_bar: int) -> float:
@@ -316,12 +277,10 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
     rho_max = max(spectral_radius(model.a_blocks[(j, j)]) for j in model.agents)
     report = {"rho_max": rho_max, "weight_rule": rule_name, "mu_policy": str(mu)}
     if mu == "global":
-        mu_value = coupling_gain_global(model, weight_set)
-        min_mod = min(
-            float(np.min(np.abs(np.linalg.eigvals(grounded_partition(weight_set[j]).s_matrix))))
-            for j in model.agents)
+        min_mod = _min_grounded_modulus(model, weight_set)
         report["min_grounded_eigenvalue"] = min_mod
         report["mu_bound"] = rho_max / min_mod
+        mu_value = _next_integer_above(report["mu_bound"])
     elif mu in ("undirected", "directed"):
         if m_bar is None:
             raise DomainError(f"the {mu} policy needs the agent cap m_bar")

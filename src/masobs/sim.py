@@ -892,7 +892,10 @@ def policy_from_json(obj: dict) -> GainPolicy:
     weights = obj.get("weights", "binary")
     if isinstance(weights, dict):
         weights = {int(k): np.asarray(v, float) for k, v in weights.items()}
-    return GainPolicy(luenberger=luenberger, margin=obj.get("margin", 1.0),
+    margin = obj.get("margin", 1.0)
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
+        raise ValueError(f"gains.margin must be a number, got {margin!r}")
+    return GainPolicy(luenberger=luenberger, margin=margin,
                       weights=weights, mu=obj.get("mu", "global"),
                       m_bar=obj.get("m_bar"), input_mode=obj.get("input_mode", "full"))
 

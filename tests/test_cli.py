@@ -306,6 +306,32 @@ class TestMalformedInput:
         assert not (tmp_path / "gains.json").exists()
 
 
+class TestBadMargin:
+    """A margin that is not a finite positive number exits 1 with one
+    ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "1e308"])
+    def test_gains_margin(self, triple_model_file, tmp_path, capsys, margin):
+        out = tmp_path / "gains.json"
+        argv = ["gains", str(triple_model_file), "--margin", margin, "--out", str(out)]
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("margin", ['"nan"', "[1]", "Infinity", "true"])
+    def test_scenario_margin(self, tmp_path, capsys, margin):
+        obj = scenario_to_json(coupled_triple_scenario(t_end=1.0))
+        obj["gains"].update(luenberger="auto", margin="MARGIN")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj).replace('"MARGIN"', margin))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", str(scenario), "--out", str(out_dir)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out_dir.exists()
+
+
 class TestDagc:
     def test_ring_orientation(self, ring_sensing_file, tmp_path, capsys):
         out_dir = tmp_path / "dagc"
@@ -415,6 +441,7 @@ from masobs.observer import design_gains
 from masobs.scenarios import coupled_triple_model
 gains, _ = design_gains(coupled_triple_model(), luenberger="auto")
 assert sorted(gains.luenberger) == [1, 2, 3]
+assert "scipy.signal" not in sys.modules, scipy_modules()
 """
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=120)

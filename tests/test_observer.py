@@ -61,14 +61,22 @@ class TestLuenbergerDesign:
 
     def test_random_pairs_meet_margin(self):
         rng = np.random.default_rng(21)
+        pairs = [(np.zeros((3, 3)), np.eye(3), 1.0),
+                 (np.diag([0.5, 0.5, -1.0]), np.eye(3), 1.5)]
         for _ in range(50):
             n = int(rng.integers(1, 5))
             p = int(rng.integers(1, n + 1))
             a, c = random_observable_pair(rng, n, p)
-            margin = float(rng.uniform(0.5, 2.0))
+            pairs.append((a, c, float(rng.uniform(0.5, 2.0))))
+        for a, c, margin in pairs:
             f = design_luenberger_gain(a, c, margin=margin)
             worst = np.max(np.linalg.eigvals(a - f @ c).real)
             assert worst <= -margin + 1e-6
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(DomainError):
+            design_luenberger_gain([[0.0]], [[1.0]], margin=margin)
 
     def test_repeated_eigenvalues(self):
         # nilpotent block with a single output channel
@@ -100,6 +108,16 @@ class TestCouplingGainFormulas:
         mu = coupling_gain_global(model, weights)
         gains, _ = design_gains(model, weights="binary", mu=float(mu))
         assert is_hurwitz(assemble_error_dynamics(model, gains).r)
+
+    def test_global_report_matches_formula(self):
+        model = coupled_triple_model()
+        gains, report = design_gains(model, weights="binary", mu="global")
+        weights = consensus_weight_set(model.communication_graph, "binary")
+        assert gains.mu == coupling_gain_global(model, weights)
+        assert report["mu_bound"] == report["rho_max"] / report["min_grounded_eigenvalue"]
+        assert report["min_grounded_eigenvalue"] == min(
+            np.min(np.abs(np.linalg.eigvals(grounded_partition(weights[j]).s_matrix)))
+            for j in model.agents)
 
     def test_global_rejects_disconnected(self):
         model = MasModel.build(
