@@ -44,6 +44,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    return _fail(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
 def _reason(exc: Exception) -> str:
     """A parse failure in words; str() of a KeyError is only the key's repr."""
     if isinstance(exc, KeyError):
@@ -184,8 +188,11 @@ def cmd_gains(args) -> int:
         "report": {k: v for k, v in report.items()},
     }
     out_path = Path(args.out) if args.out else Path(args.path).with_suffix(".gains.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(out, indent=2) + "\n")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(json.dumps(out, indent=2) + "\n")
+    except OSError as exc:
+        return _cannot_write(out_path, exc)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -303,7 +310,10 @@ def cmd_run(args) -> int:
         return _fail(EXIT_CHECK, str(exc))
     except (DimensionError, DomainError) as exc:
         return _fail(EXIT_USAGE, str(exc))
-    _write_bundle(out_dir, cfg, trace, args.subsample)
+    try:
+        _write_bundle(out_dir, cfg, trace, args.subsample)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     summary = sim_mod.error_norms(trace)
     print(f"wrote {out_dir}/trace.csv ({len(trace.times)} samples)")
     print(f"final stacked error norm: {summary.total_final:.6g}")
@@ -338,8 +348,6 @@ def cmd_reproduce(args) -> int:
             return _fail(EXIT_CHECK, f"{experiment.key}: {exc}")
         except (DimensionError, DomainError) as exc:
             return _fail(EXIT_USAGE, f"{experiment.key}: {exc}")
-        bundle = out_root / experiment.key
-        _write_bundle(bundle, cfg, trace, args.subsample)
         lines = []
         for name, fn in experiment.checks:
             ok, detail = fn(trace)
@@ -347,7 +355,12 @@ def cmd_reproduce(args) -> int:
             verdict = "PASS" if ok else "FAIL"
             print(f"  {verdict} {name}: {detail}")
             lines.append(f"{verdict} {name}: {detail}")
-        (bundle / "summary.txt").write_text("\n".join(lines) + "\n")
+        bundle = out_root / experiment.key
+        try:
+            _write_bundle(bundle, cfg, trace, args.subsample)
+            (bundle / "summary.txt").write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            return _cannot_write(bundle, exc)
     return EXIT_OK if overall_ok else EXIT_CHECK
 
 
@@ -372,9 +385,8 @@ def cmd_dagc(args) -> int:
     from .graphs import topological_ordering
     topological_ordering(oriented)  # acyclicity sanity check before writing
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     graph_path = out_dir / "oriented_sensing.txt"
-    graph_path.write_text(oriented.to_text())
+    report_path = out_dir / "dagc_report.json"
     report = {
         "ids": {str(k): v for k, v in sorted(assignment.ids.items())},
         "layers": {str(k): v for k, v in sorted(assignment.layers.items())},
@@ -382,8 +394,12 @@ def cmd_dagc(args) -> int:
         "anchors": list(assignment.anchors),
         "id_fix_rounds": assignment.id_fix_rounds,
     }
-    report_path = out_dir / "dagc_report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        graph_path.write_text(oriented.to_text())
+        report_path.write_text(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     for agent in sorted(assignment.layers):
         print(f"agent {agent}: layer {assignment.layers[agent]}, "
               f"id {assignment.ids[agent]}")

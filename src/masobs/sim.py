@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -849,16 +853,76 @@ def trace_matrix(trace: SimulationTrace) -> np.ndarray:
     return np.hstack(blocks)
 
 
+#: fewest trace values worth a writer process of their own.  A fork, its
+#: wait and its part file cost about 3 ms at 70-110 MB RSS on a 2-core VM,
+#: the time to format about 2,500 values, so a writer spends about 4 % on them.
+VALUES_PER_WRITER = 2 ** 16
+
+
+def _write_rows(fh, rows) -> None:
+    # tolist() yields Python floats, whose repr is the shortest round-trip form
+    fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+def _writer_count(values: int) -> int:
+    """One writer per usable CPU, each with at least VALUES_PER_WRITER values."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), values // VALUES_PER_WRITER))
+
+
+def _fork_writer(part, rows) -> int:
+    """Fork a process that writes ``rows`` to ``part``; returns its pid.
+
+    The child calls only ``tolist``, ``repr`` and file writes, so no BLAS
+    routine or lock is touched after the fork, and it always leaves through
+    ``os._exit``: it never returns into the caller and never flushes the
+    stdout or file buffers it inherited.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        _write_rows(part, rows)
+        part.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def write_trace_csv(trace: SimulationTrace, path, subsample: int = 1) -> None:
+    """Write the trace as CSV, formatting row ranges in parallel processes.
+
+    The parent writes the header and the first range to ``path`` while each
+    further range goes from its own forked process to an unnamed temporary
+    file in the same directory; the parts are appended in order once every
+    process has exited, so the bytes do not depend on the CPU count.
+    """
     full = trace_matrix(trace)
     matrix = full[::subsample]
     # keep the final sample even when subsampling skips it
     if (len(trace.times) - 1) % subsample != 0:
         matrix = np.vstack([matrix, full[-1]])
-    # tolist() yields Python floats, whose repr is the shortest round-trip form
-    with open(path, "w") as fh:
+    writers = _writer_count(matrix.size)
+    bounds = [len(matrix) * k // writers for k in range(writers + 1)]
+    parts, pids = [], []
+    with open(path, "w") as fh, ExitStack() as stack:
         fh.write(",".join(trace_columns(trace)) + "\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in matrix)
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                parts.append(stack.enter_context(
+                    tempfile.TemporaryFile("w+", dir=Path(path).parent)))
+                pids.append(_fork_writer(parts[-1], matrix[lo:hi]))
+            _write_rows(fh, matrix[:bounds[1]])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        failed = [code for code in codes if code]
+        if failed:
+            raise OSError(f"a trace writer process exited with status {failed[0]}")
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
 
 
 def read_trace_csv(path):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -257,7 +258,49 @@ class TestBadOverrides:
         assert not out_dir.exists()
 
 
-BAD_MODELS = ("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 1 with one
+    ``error: cannot write`` line instead of a traceback."""
+
+    @pytest.mark.parametrize("command, out", [
+        pytest.param("run", "file/x", id="run-out-below-file"),
+        pytest.param("reproduce", "file", id="reproduce-out-is-file"),
+        pytest.param("dagc", "file", id="dagc-out-is-file"),
+        pytest.param("gains", "file/x.json", id="gains-out-below-file"),
+    ])
+    def test_exits_one_with_one_line(self, tmp_path, capsys, triple_model_file,
+                                     ring_sensing_file, command, out):
+        (tmp_path / "file").write_text("")
+        target = {"reproduce": "5A-basic", "dagc": ring_sensing_file,
+                  "gains": triple_model_file}.get(command)
+        if target is None:
+            target = tmp_path / "scenario.json"
+            save_scenario(coupled_triple_scenario(t_end=1.0), target)
+        assert cli.main([command, str(target), "--out", str(tmp_path / out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write"), lines
+
+    def test_failed_trace_writer_process(self, tmp_path, capsys, monkeypatch):
+        from masobs import sim
+        parent = os.getpid()
+        write_rows = sim._write_rows
+
+        def fail_in_child(fh, rows):
+            if os.getpid() != parent:
+                raise RuntimeError("writer process fails")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(sim, "_write_rows", fail_in_child)
+        monkeypatch.setattr(sim, "VALUES_PER_WRITER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        target = tmp_path / "scenario.json"
+        save_scenario(coupled_triple_scenario(t_end=1.0), target)
+        assert cli.main(["run", str(target), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write"), lines
+
+
+BAD_MODELS =("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
 
 
 def _malformed_model(bad):

@@ -1,9 +1,12 @@
+import os
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from masobs import sim as sim_mod
 from masobs.errors import (ConnectivityError, DimensionError, DomainError,
                            NonFiniteError)
 from masobs.graphs import DirectedGraph
@@ -44,6 +47,28 @@ def _random_model_with_inputs(rng):
                 for n_i in base.state_dims],
         a_couplings={key: blk for key, blk in base.a_blocks.items() if key[0] != key[1]},
         c_couplings={key: blk for key, blk in base.c_blocks.items() if key[0] != key[1]})
+
+
+def _repr_trace(rows):
+    """Hand-built trace in which every awkward float lands in every column."""
+    values = [np.nan, -0.0, 0.1, 1e16, 1e-05, 5e-324]
+    cells = np.resize(values, (rows, 7))
+    return SimulationTrace(
+        labels=(1,), state_dims={1: 1}, times=cells[:, 0], x=cells[:, 1:2],
+        xbar=cells[:, 2:3], xhat={1: cells[:, 3:4]}, pair_errors={(1, 1): cells[:, 4]},
+        bar_errors={1: cells[:, 5]}, total_error=cells[:, 6], events=[], gain_log=[],
+        meta={})
+
+
+def _reference_csv(trace, subsample):
+    """The trace file's bytes from a one-value-at-a-time reference writer."""
+    cells = trace_matrix(trace)
+    rows = list(cells[::subsample])
+    if (len(cells) - 1) % subsample:
+        rows.append(cells[-1])
+    lines = [",".join(trace_columns(trace))]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestStepMap:
@@ -466,21 +491,63 @@ class TestTraceOutput:
 
     @pytest.mark.parametrize("subsample", [1, 7])
     def test_csv_bytes_are_float_repr(self, tmp_path, subsample):
-        values = [np.nan, -0.0, 0.1, 1e16, 1e-05, 5e-324]
-        cells = np.resize(values, (10, 7))  # every value lands in every column
-        trace = SimulationTrace(
-            labels=(1,), state_dims={1: 1}, times=cells[:, 0], x=cells[:, 1:2],
-            xbar=cells[:, 2:3], xhat={1: cells[:, 3:4]}, pair_errors={(1, 1): cells[:, 4]},
-            bar_errors={1: cells[:, 5]}, total_error=cells[:, 6], events=[], gain_log=[],
-            meta={})
-        rows = list(cells[::subsample])
-        if (len(cells) - 1) % subsample:
-            rows.append(cells[-1])
-        lines = [",".join(trace_columns(trace))]
-        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        trace = _repr_trace(10)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, subsample=subsample)
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_bytes() == _reference_csv(trace, subsample)
+
+    @pytest.mark.parametrize("cpus", [1, None, 4], ids=["one-cpu", "all-cpus", "four-cpus"])
+    @pytest.mark.parametrize("subsample", [1, 7])
+    def test_forked_csv_bytes_are_float_repr(self, tmp_path, monkeypatch, subsample, cpus):
+        # 1001 rows of 7 values: above 64 values per writer at either subsample,
+        # and at subsample 7 the appended final row lands in the last part;
+        # four writers on any machine show that the parts are joined in order
+        trace = _repr_trace(1001)
+        monkeypatch.setattr(sim_mod, "VALUES_PER_WRITER", 64)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        expected = _reference_csv(trace, subsample)
+        writers = min(len(os.sched_getaffinity(0)), 7 * (expected.count(b"\n") - 1) // 64)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, subsample=subsample)
+        assert path.read_bytes() == expected
+        assert len(forks) == writers - 1
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_failed_writer_process_raises_in_parent_only(self, tmp_path, monkeypatch):
+        trace = _repr_trace(1001)
+        monkeypatch.setattr(sim_mod, "VALUES_PER_WRITER", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        write_rows = sim_mod._write_rows
+
+        def fail_in_child(fh, rows):
+            if os.getpid() != parent:
+                raise RuntimeError("writer process fails")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(sim_mod, "_write_rows", fail_in_child)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        # a block-buffered stdout: a child that flushed it would repeat the marker
+        with open(tmp_path / "stdout.txt", "w") as stdout, redirect_stdout(stdout):
+            print("marker", end="")
+            with pytest.raises(OSError, match="writer process exited with status 1"):
+                write_trace_csv(trace, out_dir / "trace.csv")
+        assert (tmp_path / "stdout.txt").read_text() == "marker"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(out_dir) == ["trace.csv"]
 
     def test_summary_settling_times(self):
         trace = run_scenario(_short_triple(t_end=10.0))
