@@ -17,9 +17,8 @@ from . import mas as mas_mod
 from . import observer as obs_mod
 from . import scenarios as scen_mod
 from . import sim as sim_mod
-from .errors import (AssumptionError, ConnectivityError, DimensionError,
-                     DomainError, LayerError, MasobsError, NonFiniteError,
-                     UnobservableError)
+from .errors import (AssumptionError, ConnectivityError, DomainError, LayerError,
+                     MasobsError, NonFiniteError, UnobservableError)
 from .graphs import DirectedGraph, is_strongly_connected
 
 EXIT_OK = 0
@@ -46,6 +45,16 @@ def _fail(code: int, message: str) -> int:
 
 def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+def _exit_code(exc: Exception) -> int:
+    """Exit code of an error that stops a command: a divergence, a failed
+    check, or else a usage or parse problem."""
+    if isinstance(exc, NonFiniteError):
+        return EXIT_DIVERGED
+    if isinstance(exc, (AssumptionError, ConnectivityError, LayerError, UnobservableError)):
+        return EXIT_CHECK
+    return EXIT_USAGE
 
 
 def _reason(exc: Exception) -> str:
@@ -167,10 +176,8 @@ def cmd_gains(args) -> int:
         policy_kwargs["mu"] = args.mu
     try:
         gains, report = obs_mod.design_gains(model, **policy_kwargs)
-    except (ConnectivityError, UnobservableError) as exc:
-        return _fail(EXIT_CHECK, str(exc))
-    except DomainError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), str(exc))
     print(f"largest block spectral radius: {report['rho_max']:.6g}")
     if report.get("mu_bound") is not None:
         print(f"coupling gain bound: {report['mu_bound']:.6g}")
@@ -295,7 +302,7 @@ def cmd_run(args) -> int:
     try:
         cfg = scenario_from_file(obj)
     except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse scenario: {_reason(exc)}")
+        return _fail(_exit_code(exc), f"cannot parse scenario: {_reason(exc)}")
     try:
         cfg = _apply_overrides(cfg, args)
     except DomainError as exc:
@@ -304,12 +311,8 @@ def cmd_run(args) -> int:
         .with_name(Path(args.path).stem + "_out")
     try:
         trace = sim_mod.run_scenario(cfg)
-    except NonFiniteError as exc:
-        return _fail(EXIT_DIVERGED, str(exc))
-    except (AssumptionError, ConnectivityError, UnobservableError) as exc:
-        return _fail(EXIT_CHECK, str(exc))
-    except (DimensionError, DomainError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), str(exc))
     try:
         _write_bundle(out_dir, cfg, trace, args.subsample)
     except OSError as exc:
@@ -342,12 +345,8 @@ def cmd_reproduce(args) -> int:
         print(f"[{experiment.key}] {experiment.title}")
         try:
             trace = sim_mod.run_scenario(cfg)
-        except NonFiniteError as exc:
-            return _fail(EXIT_DIVERGED, f"{experiment.key}: {exc}")
-        except (AssumptionError, ConnectivityError) as exc:
-            return _fail(EXIT_CHECK, f"{experiment.key}: {exc}")
-        except (DimensionError, DomainError) as exc:
-            return _fail(EXIT_USAGE, f"{experiment.key}: {exc}")
+        except MasobsError as exc:
+            return _fail(_exit_code(exc), f"{experiment.key}: {exc}")
         lines = []
         for name, fn in experiment.checks:
             ok, detail = fn(trace)

@@ -88,8 +88,8 @@ class DirectedGraph:
     def out_neighbors(self, i: int):
         return tuple(int(j) + 1 for j in np.nonzero(self.weights[:, i - 1])[0])
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.weights - self.weights.T)) <= tol)
+    def is_symmetric(self) -> bool:
+        return bool(np.max(np.abs(self.weights - self.weights.T)) <= 1e-12)
 
     def union(self, other: "DirectedGraph") -> "DirectedGraph":
         """Topology union; weights are the entrywise maximum."""
@@ -202,20 +202,7 @@ def grounded_blocks(ag: AugmentedGraph) -> GroundedBlocks:
 
 def has_spanning_tree(g: DirectedGraph) -> bool:
     """True iff some node reaches every other node along directed edges."""
-    m = g.node_count
-    out_lists = {i: g.out_neighbors(i) for i in g.nodes}
-    for root in g.nodes:
-        seen = {root}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for nxt in out_lists[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) == m:
-            return True
-    return False
+    return any(len(_reachable(g, root, True)) == g.node_count for root in g.nodes)
 
 
 def _reachable(g: DirectedGraph, start: int, forward: bool) -> set:
@@ -234,8 +221,6 @@ def _reachable(g: DirectedGraph, start: int, forward: bool) -> set:
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """Directed path between every ordered pair of distinct nodes."""
     m = g.node_count
-    if m == 1:
-        return True
     return len(_reachable(g, 1, True)) == m and len(_reachable(g, 1, False)) == m
 
 
@@ -332,18 +317,15 @@ def normalized_out_weights(ag: AugmentedGraph) -> np.ndarray:
     return pattern / counts
 
 
-def algebraic_connectivity(g: DirectedGraph, require_undirected: bool = True) -> float:
-    """Second-smallest Laplacian eigenvalue.
+def algebraic_connectivity(g: DirectedGraph) -> float:
+    """Second-smallest Laplacian eigenvalue of an undirected graph.
 
-    With ``require_undirected`` the weight matrix must be symmetric (checked
-    to 1e-12); the eigenvalues are then real and sorted ascending.
+    The weight matrix must be symmetric (checked to 1e-12), so the
+    eigenvalues are real and sorted ascending.
     """
     if g.node_count < 2:
         raise ValueError("algebraic connectivity needs at least two nodes")
-    if require_undirected:
-        if not g.is_symmetric(tol=1e-12):
-            raise SymmetryError("weight matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(laplacian(g))
-    else:
-        eigs = np.sort(np.linalg.eigvals(laplacian(g)).real)
+    if not g.is_symmetric():
+        raise SymmetryError("weight matrix is not symmetric")
+    eigs = np.linalg.eigvalsh(laplacian(g))
     return float(eigs[1])

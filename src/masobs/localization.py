@@ -61,10 +61,6 @@ class AgentKinematics:
         elif self.velocities is not None:
             raise ValueError("single integrators carry no velocity state")
 
-    @property
-    def agent_count(self) -> int:
-        return len(self.positions)
-
     def stacked_state(self) -> np.ndarray:
         if self.order == "single":
             return np.concatenate([np.asarray(p) for p in self.positions])
@@ -174,20 +170,13 @@ def _undirected_adjacency(sg: SensingGraph):
 
 
 def check_global_observability(sg: SensingGraph) -> bool:
-    """Whole-MAS position observability: the undirected skeleton of the
-    sensing graph plus origin must be connected."""
-    if not sg.anchors:
+    """Whole-MAS position observability: every agent reaches the anchored set
+    over the undirected sensing skeleton, i.e. :func:`assign_layers` succeeds."""
+    try:
+        assign_layers(sg)
+    except LayerError:
         return False
-    adj = _undirected_adjacency(sg)
-    seen = set(sg.anchors)  # the origin links all anchors together
-    queue = deque(sg.anchors)
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == sg.agent_count
+    return True
 
 
 def check_agent_observability(sg: SensingGraph):

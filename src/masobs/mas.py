@@ -240,15 +240,15 @@ def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.vstack(rows)
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank by singular values above ``rel_tol`` times the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Rank by singular values above ``RANK_REL_TOL`` times the largest one."""
     matrix = np.atleast_2d(matrix)
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 def is_observable(a: np.ndarray, c: np.ndarray) -> bool:

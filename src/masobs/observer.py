@@ -97,16 +97,12 @@ def validate_gains(model: MasModel, gains: ObserverGains) -> None:
 def consensus_weight_set(gc: DirectedGraph, rule="binary"):
     """Per-target consensus weights for every augmented graph of ``gc``.
 
-    ``rule`` is one of "binary", "normalized-in", "normalized-out", or a
-    callable mapping an AugmentedGraph to a weight matrix.
+    ``rule`` is one of "binary", "normalized-in", "normalized-out".
     """
-    if callable(rule):
-        build = rule
-    else:
-        try:
-            build = WEIGHT_RULES[rule]
-        except KeyError:
-            raise ValueError(f"unknown weight rule {rule!r}") from None
+    try:
+        build = WEIGHT_RULES[rule]
+    except KeyError:
+        raise ValueError(f"unknown weight rule {rule!r}") from None
     out = {}
     for j in gc.nodes:
         ag = augment(gc, j, 1.0)
@@ -258,9 +254,9 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
     Returns ``(gains, report)`` where the report records the bound trail
     (spectral radius, bound value, selected mu, weight rule).
     """
-    if isinstance(weights, (str,)) or callable(weights):
+    if isinstance(weights, str):
         weight_set = consensus_weight_set(model.communication_graph, weights)
-        rule_name = weights if isinstance(weights, str) else "custom"
+        rule_name = weights
     else:
         weight_set = {j: np.asarray(w, dtype=float) for j, w in dict(weights).items()}
         rule_name = "explicit"
@@ -318,7 +314,7 @@ def zero_observer_state(model: MasModel) -> ObserverState:
 
 
 def observer_derivative(model: MasModel, gains: ObserverGains,
-                        state: ObserverState, u, y, t: float = 0.0) -> ObserverState:
+                        state: ObserverState, u, y) -> ObserverState:
     """Time derivative of every agent's estimates.
 
     This is the blockwise reference form of the equations; the simulator
@@ -488,14 +484,14 @@ def observer_state_from_errors(model: MasModel, errors: np.ndarray, x: np.ndarra
 
 def error_derivative(model: MasModel, gains: ObserverGains, state: ObserverState,
                      x: np.ndarray, u=None, process_noise=None,
-                     measurement_noise=None, ordering=None, t: float = 0.0) -> np.ndarray:
+                     measurement_noise=None, ordering=None) -> np.ndarray:
     """d/dt of the stacked estimation error, through the observer equations."""
     if ordering is None:
         ordering = check_topological_consistency(model)
     y = mas_mod.plant_output(model, x)
     if measurement_noise is not None:
         y = y + measurement_noise
-    ds = observer_derivative(model, gains, state, u, y, t=t)
+    ds = observer_derivative(model, gains, state, u, y)
     dx = mas_mod.plant_derivative(model, x, u)
     if process_noise is not None:
         dx = dx + process_noise
@@ -556,9 +552,9 @@ def assemble_error_dynamics(model: MasModel, gains: ObserverGains) -> ErrorDynam
     return ErrorDynamics(t_blocks=t_blocks, r=r, ordering=ordering)
 
 
-def is_hurwitz(matrix, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every eigenvalue has real part below ``-tol``."""
-    return bool(np.max(np.linalg.eigvals(np.atleast_2d(matrix)).real) < -tol)
+def is_hurwitz(matrix) -> bool:
+    """True iff every eigenvalue has real part below ``-HURWITZ_TOL``."""
+    return bool(np.max(np.linalg.eigvals(np.atleast_2d(matrix)).real) < -HURWITZ_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -595,20 +591,20 @@ def iss_error_bound(kappa: float, eta: float, e0_norm: float, b_norm: float,
     return float(value) if value.ndim == 0 else value
 
 
-def fit_decay_envelope(r: np.ndarray, t_max: float = 20.0, samples: int = 200,
-                       rate_fraction: float = 0.9, inflation: float = 1.05):
+def fit_decay_envelope(r: np.ndarray):
     """Fit (kappa, eta) with ||exp(R t)|| <= kappa exp(-eta t) from samples.
 
-    ``eta`` is a fixed fraction of the spectral decay rate and ``kappa`` the
-    inflated envelope peak over a uniform sample grid on [0, t_max], so the
-    envelope is valid by construction up to sampling density.
+    ``eta`` is 0.9 times the spectral decay rate and ``kappa`` 1.05 times the
+    envelope peak over 200 uniform samples on [0, 20], so the envelope is
+    valid by construction up to sampling density.
     """
     r = np.atleast_2d(np.asarray(r, dtype=float))
     alpha = float(np.max(np.linalg.eigvals(r).real))
     if alpha >= 0:
         raise DomainError("matrix is not Hurwitz; no decay envelope exists")
-    eta = rate_fraction * (-alpha)
-    dt = t_max / (samples - 1)
+    eta = 0.9 * (-alpha)
+    samples = 200
+    dt = 20.0 / (samples - 1)
     import scipy.linalg
     step = scipy.linalg.expm(r * dt)
     power = np.eye(r.shape[0])
@@ -616,4 +612,4 @@ def fit_decay_envelope(r: np.ndarray, t_max: float = 20.0, samples: int = 200,
     for k in range(1, samples):
         power = step @ power
         kappa = max(kappa, float(np.linalg.norm(power, 2)) * math.exp(eta * k * dt))
-    return max(1.0, kappa * inflation), eta
+    return max(1.0, kappa * 1.05), eta

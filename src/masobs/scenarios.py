@@ -24,9 +24,6 @@ from .mas import MasModel
 from .sim import (GainPolicy, JoinEvent, LeaveEvent, NoiseSpec, ScenarioConfig,
                   SinusoidInput, error_norms)
 
-ENVELOPE_FIT_HORIZON = 20.0
-ENVELOPE_FIT_SAMPLES = 200
-
 
 # ----------------------------------------------------------------------
 # three-agent coupled MAS
@@ -197,9 +194,28 @@ class Experiment:
 def _fit_envelope_for(config: ScenarioConfig):
     gains, _ = sim_mod.resolve_gains(config.model, config.policy)
     dynamics = obs_mod.assemble_error_dynamics(config.model, gains)
-    kappa, eta = obs_mod.fit_decay_envelope(
-        dynamics.r, t_max=ENVELOPE_FIT_HORIZON, samples=ENVELOPE_FIT_SAMPLES)
-    return gains, dynamics, kappa, eta
+    kappa, eta = obs_mod.fit_decay_envelope(dynamics.r)
+    return gains, kappa, eta
+
+
+def _disturbance_checks(config: ScenarioConfig, channels, d_bar: float,
+                        sup_name: str, bound_name: str):
+    """Checks of a run driven by bounded disturbances: the stacked error has
+    a finite supremum and stays within the ISS bound for the error entry
+    maps of ``channels``, each channel bounded by ``d_bar`` in norm."""
+    gains, kappa, eta = _fit_envelope_for(config)
+    maps = obs_mod.error_disturbance_matrices(config.model, gains)
+    g_norm = float(np.linalg.norm(np.hstack([maps[c] for c in channels]), 2))
+
+    def check_sup(trace):
+        sup = float(np.nanmax(trace.total_error))
+        return math.isfinite(sup), f"sup stacked error {sup:.3e}"
+
+    def check_iss(trace):
+        ok, worst = sim_mod.check_iss_bound(trace, kappa, eta, g_norm, d_bar)
+        return ok, f"worst bound excess {worst:.3e}"
+
+    return (sup_name, check_sup), (bound_name, check_iss)
 
 
 def _check_final_pairs(threshold):
@@ -219,7 +235,7 @@ def _check_final_total(threshold):
 
 def _experiment_triple_basic() -> Experiment:
     config = coupled_triple_scenario(noise=False)
-    _, _, kappa, eta = _fit_envelope_for(config)
+    _, kappa, eta = _fit_envelope_for(config)
 
     def check_envelope(trace):
         ok, worst = sim_mod.check_exponential_envelope(trace, kappa, eta)
@@ -234,24 +250,12 @@ def _experiment_triple_basic() -> Experiment:
 
 def _experiment_triple_noise() -> Experiment:
     config = coupled_triple_scenario(noise=True)
-    gains, _, kappa, eta = _fit_envelope_for(config)
-    maps = obs_mod.error_disturbance_matrices(config.model, gains)
-    g_norm = float(np.linalg.norm(np.hstack([maps["process"], maps["measurement"]]), 2))
     d_bar = 0.05 * math.sqrt(config.model.n + config.model.p)
-
-    def check_iss(trace):
-        ok, worst = sim_mod.check_iss_bound(trace, kappa, eta, g_norm, d_bar, slack=0.10)
-        return ok, f"worst bound excess {worst:.3e}"
-
-    def check_finite(trace):
-        sup = float(np.nanmax(trace.total_error))
-        return math.isfinite(sup), f"sup stacked error {sup:.3e}"
-
     return Experiment(
         key="5A-noise", title="three-agent run under bounded noise",
         config=config,
-        checks=(("error stays finite", check_finite),
-                ("error within disturbance bound", check_iss)))
+        checks=_disturbance_checks(config, ("process", "measurement"), d_bar,
+                                   "error stays finite", "error within disturbance bound"))
 
 
 def _experiment_plugin(kind: str) -> Experiment:
@@ -275,24 +279,12 @@ def _experiment_ring(known: bool) -> Experiment:
             key="5B-known", title="localization ring, inputs shared",
             config=config,
             checks=(("final position errors below 1e-3", _check_final_pairs(1e-3)),))
-    gains, _, kappa, eta = _fit_envelope_for(config)
-    maps = obs_mod.error_disturbance_matrices(config.model, gains)
-    g_norm = float(np.linalg.norm(maps["unknown_input"], 2))
     u_bar = 0.1 * math.sqrt(config.model.m)
-
-    def check_iss(trace):
-        ok, worst = sim_mod.check_iss_bound(trace, kappa, eta, g_norm, u_bar, slack=0.10)
-        return ok, f"worst bound excess {worst:.3e}"
-
-    def check_bounded(trace):
-        sup = float(np.nanmax(trace.total_error))
-        return math.isfinite(sup), f"sup stacked error {sup:.3e}"
-
     return Experiment(
         key="5B-unknown", title="localization ring, inputs private",
         config=config,
-        checks=(("error stays bounded", check_bounded),
-                ("error within unknown-input bound", check_iss)))
+        checks=_disturbance_checks(config, ("unknown_input",), u_bar,
+                                   "error stays bounded", "error within unknown-input bound"))
 
 
 _BUILDERS = {

@@ -223,13 +223,7 @@ class SimulationTrace:
     meta: dict
 
     def label_slice(self, label: int) -> slice:
-        start = 0
-        for lab in self.labels:
-            width = self.state_dims[lab]
-            if lab == label:
-                return slice(start, start + width)
-            start += width
-        raise KeyError(f"unknown label {label}")
+        return _label_columns(self.labels, self.state_dims)[label]
 
     def state_magnitude(self) -> np.ndarray:
         """Euclidean norm over every stored state/estimate column per sample."""
@@ -237,6 +231,12 @@ class SimulationTrace:
         for arr in self.xhat.values():
             total = total + np.nansum(arr ** 2, axis=1)
         return np.sqrt(total)
+
+
+def _label_columns(labels, dims) -> dict:
+    """Column slice of each label's block, the blocks side by side in order."""
+    ends = np.cumsum([dims[lab] for lab in labels])
+    return {lab: slice(int(end) - dims[lab], int(end)) for lab, end in zip(labels, ends)}
 
 
 # ----------------------------------------------------------------------
@@ -592,7 +592,7 @@ def _gain_snapshot(t, labels, gains: ObserverGains, report):
         "weights": {str(lab): gains.weights[pos + 1].tolist()
                     for pos, lab in enumerate(labels)},
         "report": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                   for k, v in (report or {}).items()},
+                   for k, v in report.items()},
     }
 
 
@@ -636,12 +636,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
         raise DomainError("events collapse onto the same grid step; reduce dt")
 
     all_labels, dims = _all_labels(cfg)
-    col_of = {}
-    start = 0
-    for lab in all_labels:
-        col_of[lab] = slice(start, start + dims[lab])
-        start += dims[lab]
-    n_total = start
+    col_of = _label_columns(all_labels, dims)
+    n_total = sum(dims.values())
 
     record_idx = np.union1d(np.arange(0, total_steps + 1, cfg.record_every),
                             event_steps + [total_steps]).tolist()
@@ -751,31 +747,21 @@ class TraceSummary:
     pair_sup: dict
     total_final: float
     total_sup: float
-    settling_times: dict
 
 
-def error_norms(trace: SimulationTrace, settle_threshold: float = 1e-3) -> TraceSummary:
-    """Per-pair supremum/final norms and settling times onto a threshold."""
+def error_norms(trace: SimulationTrace) -> TraceSummary:
+    """Per-pair final and supremum error norms, and the same for the total."""
     pair_final = {}
     pair_sup = {}
-    settling = {}
     for key, series in trace.pair_errors.items():
         finite = series[~np.isnan(series)]
         pair_final[key] = float(series[-1]) if not np.isnan(series[-1]) else None
         pair_sup[key] = float(finite.max()) if finite.size else None
-        above = np.where(~np.isnan(series) & (series >= settle_threshold))[0]
-        if above.size == 0:
-            settling[key] = 0.0
-        elif above[-1] + 1 < len(trace.times):
-            settling[key] = float(trace.times[above[-1] + 1])
-        else:
-            settling[key] = None  # never settles inside the horizon
     return TraceSummary(
         pair_final=pair_final,
         pair_sup=pair_sup,
         total_final=float(trace.total_error[-1]),
         total_sup=float(np.nanmax(trace.total_error)),
-        settling_times=settling,
     )
 
 
@@ -790,33 +776,35 @@ def roundoff_floor(trace: SimulationTrace) -> np.ndarray:
     return FLOAT_FLOOR_SAFETY * MACHINE_EPS * trace.state_magnitude()
 
 
-def check_exponential_envelope(trace: SimulationTrace, kappa: float, eta: float,
-                               rel_slack: float = 1e-6):
+def _worst_excess(trace: SimulationTrace, bound):
+    """(ok, worst) for the error norm against ``bound`` along the trace, the
+    excess in units of the local bound."""
+    excess = (trace.total_error - bound) / np.maximum(bound, 1e-300)
+    worst = float(np.nanmax(excess))
+    return worst <= 0.0, worst
+
+
+def check_exponential_envelope(trace: SimulationTrace, kappa: float, eta: float):
     """Verify ||E(t)|| <= kappa exp(-eta t) ||E(0)|| up to the float floor.
 
     The floor only matters once the envelope falls below machine precision
     relative to the plant magnitude (unstable plants reach that within a
     simulated minute); before that the exponential term dominates and the
-    check is exact up to ``rel_slack``.  Returns (ok, worst_excess) with the
-    excess in units of the local bound.
+    check is exact up to a relative slack of 1e-6.  Returns (ok, worst_excess).
     """
     e0 = trace.total_error[0]
-    bound = kappa * np.exp(-eta * trace.times) * e0 * (1.0 + rel_slack) \
+    bound = kappa * np.exp(-eta * trace.times) * e0 * (1.0 + 1e-6) \
         + roundoff_floor(trace)
-    excess = (trace.total_error - bound) / np.maximum(bound, 1e-300)
-    worst = float(np.nanmax(excess))
-    return worst <= 0.0, worst
+    return _worst_excess(trace, bound)
 
 
 def check_iss_bound(trace: SimulationTrace, kappa: float, eta: float,
-                    b_norm: float, u_bar: float, slack: float = 0.10):
-    """Verify the exponential-plus-offset error bound along a trace."""
+                    b_norm: float, u_bar: float):
+    """Verify the exponential-plus-offset error bound, with 10 % slack, along
+    a trace.  Returns (ok, worst_excess)."""
     e0 = trace.total_error[0]
     bound = obs_mod.iss_error_bound(kappa, eta, e0, b_norm, u_bar, trace.times)
-    bound = bound * (1.0 + slack)
-    excess = (trace.total_error - bound) / np.maximum(bound, 1e-300)
-    worst = float(np.nanmax(excess))
-    return worst <= 0.0, worst
+    return _worst_excess(trace, bound * (1.0 + 0.10))
 
 
 # ----------------------------------------------------------------------
@@ -894,10 +882,12 @@ def _fork_writer(part, rows) -> int:
 def write_trace_csv(trace: SimulationTrace, path, subsample: int = 1) -> None:
     """Write the trace as CSV, formatting row ranges in parallel processes.
 
-    The parent writes the header and the first range to ``path`` while each
-    further range goes from its own forked process to an unnamed temporary
-    file in the same directory; the parts are appended in order once every
-    process has exited, so the bytes do not depend on the CPU count.
+    The parent writes the header and the first range to a ``.part`` file
+    next to ``path`` while each further range goes from its own forked
+    process to an unnamed temporary file in the same directory; the parts
+    are appended in order once every process has exited 0, so the bytes do
+    not depend on the CPU count.  Only the finished file is renamed to
+    ``path``; on any failure the ``.part`` file is removed.
     """
     full = trace_matrix(trace)
     matrix = full[::subsample]
@@ -907,22 +897,30 @@ def write_trace_csv(trace: SimulationTrace, path, subsample: int = 1) -> None:
     writers = _writer_count(matrix.size)
     bounds = [len(matrix) * k // writers for k in range(writers + 1)]
     parts, pids = [], []
-    with open(path, "w") as fh, ExitStack() as stack:
-        fh.write(",".join(trace_columns(trace)) + "\n")
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                parts.append(stack.enter_context(
-                    tempfile.TemporaryFile("w+", dir=Path(path).parent)))
-                pids.append(_fork_writer(parts[-1], matrix[lo:hi]))
-            _write_rows(fh, matrix[:bounds[1]])
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        failed = [code for code in codes if code]
-        if failed:
-            raise OSError(f"a trace writer process exited with status {failed[0]}")
-        for part in parts:
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
+    path = Path(path)
+    unfinished = path.with_name(path.name + ".part")
+    fh = open(unfinished, "w")
+    try:
+        with fh, ExitStack() as stack:
+            fh.write(",".join(trace_columns(trace)) + "\n")
+            try:
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    parts.append(stack.enter_context(
+                        tempfile.TemporaryFile("w+", dir=path.parent)))
+                    pids.append(_fork_writer(parts[-1], matrix[lo:hi]))
+                _write_rows(fh, matrix[:bounds[1]])
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            failed = [code for code in codes if code]
+            if failed:
+                raise OSError(f"a trace writer process exited with status {failed[0]}")
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        os.replace(unfinished, path)
+    except BaseException:
+        unfinished.unlink()
+        raise
 
 
 def read_trace_csv(path):
@@ -936,16 +934,11 @@ def read_trace_csv(path):
 def policy_to_json(policy: GainPolicy) -> dict:
     out = {"margin": policy.margin, "mu": policy.mu, "m_bar": policy.m_bar,
            "input_mode": policy.input_mode}
-    if isinstance(policy.luenberger, dict):
-        out["luenberger"] = {str(k): np.asarray(v, float).tolist()
-                             for k, v in policy.luenberger.items()}
-    else:
-        out["luenberger"] = policy.luenberger
-    if isinstance(policy.weights, dict):
-        out["weights"] = {str(k): np.asarray(v, float).tolist()
-                          for k, v in policy.weights.items()}
-    else:
-        out["weights"] = policy.weights
+    for name in ("luenberger", "weights"):
+        value = getattr(policy, name)
+        if isinstance(value, dict):
+            value = {str(k): np.asarray(v, float).tolist() for k, v in value.items()}
+        out[name] = value
     return out
 
 

@@ -298,13 +298,16 @@ class TestUnwritableOutput:
         assert cli.main(["run", str(target), "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write"), lines
+        assert os.listdir(tmp_path / "out") == []
 
 
 BAD_MODELS =("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
 
 
 def _malformed_model(bad):
-    """The triple model file with one defect, or intact for ``None``."""
+    """The triple model file with one defect, or intact for ``None``; for
+    "unreachable-agent", a localization scenario over the triple's
+    communication ring whose agent 3 is unreachable from the anchor."""
     payload = model_to_json(coupled_triple_model())
     if bad == "non-numeric-A":
         payload["agents"][0]["A"][0][0] = "x"
@@ -314,6 +317,10 @@ def _malformed_model(bad):
         payload["communication"]["edges"][0][1] = 7
     elif bad == "no-communication":
         del payload["communication"]
+    elif bad == "unreachable-agent":
+        payload = {"kind": "localization",
+                   "sensing": {"agents": 3, "relative_edges": [[1, 2]], "anchors": [1]},
+                   "communication": payload["communication"], "t_end": 1.0, "dt": 0.1}
     return payload
 
 
@@ -329,13 +336,17 @@ class TestMalformedInput:
                      "error: ", id="gains-directed-overflow"),
         pytest.param(["gains", "--policy", "undirected", "--m-bar", "400"], None, 1,
                      "error: ", id="gains-undirected-overflow"),
+        pytest.param(["run"], "unreachable-agent", 2,
+                     "error: cannot parse scenario: agents [3] are unreachable",
+                     id="run-unreachable-agent"),
     ])
     def test_exit_code_and_stderr(self, tmp_path, capsys, command, bad, code, stderr_start):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(_malformed_model(bad)))
         argv = [command[0], str(path), *command[1:]]
-        if command[0] == "gains":
-            argv += ["--out", str(tmp_path / "gains.json")]
+        out = tmp_path / ("gains.json" if command[0] == "gains" else "out")
+        if command[0] != "check":
+            argv += ["--out", str(out)]
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -346,7 +357,7 @@ class TestMalformedInput:
             assert len(lines) == 1 and lines[0].startswith(stderr_start), lines
         if bad == "no-communication":
             assert "missing key 'communication'" in captured.out + captured.err
-        assert not (tmp_path / "gains.json").exists()
+        assert not out.exists()
 
 
 class TestBadMargin:
@@ -418,15 +429,21 @@ class TestDagc:
 
 
 class TestReproduce:
-    def test_basic_experiment_bundle(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, check", [
+        pytest.param("5A-basic", "PASS final pair errors below 1e-3", id="5A-basic"),
+        pytest.param("5A-join", "PASS post-event stacked error below 1e-2", id="5A-join"),
+        pytest.param("5B-unknown", "PASS error within unknown-input bound", id="5B-unknown"),
+    ])
+    def test_experiment_bundle_replays(self, tmp_path, capsys, key, check):
         out_root = tmp_path / "repro"
-        assert cli.main(["reproduce", "5A-basic", "--out", str(out_root)]) == 0
+        assert cli.main(["reproduce", key, "--out", str(out_root)]) == 0
         out = capsys.readouterr().out
-        assert "PASS final pair errors below 1e-3" in out
-        bundle = out_root / "5A-basic"
+        assert check in out
+        bundle = out_root / key
         assert (bundle / "summary.txt").exists()
         # the bundle is self-contained: replaying its recorded config
-        # reproduces the trace byte for byte
+        # reproduces the trace byte for byte (events, sinusoid inputs and
+        # own-only input mode included)
         meta = json.loads((bundle / "metadata.json").read_text())
         replay_path = tmp_path / "replay.json"
         replay_path.write_text(json.dumps(meta["config"]))
