@@ -19,7 +19,7 @@ from . import scenarios as scen_mod
 from . import sim as sim_mod
 from .errors import (AssumptionError, ConnectivityError, DomainError, LayerError,
                      MasobsError, NonFiniteError, UnobservableError)
-from .graphs import DirectedGraph, is_strongly_connected
+from .graphs import DirectedGraph, is_strongly_connected, topological_ordering
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,9 +33,12 @@ EXIT_DIVERGED = 3
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    except (OSError, ValueError) as exc:
         raise SystemExit(_fail(EXIT_USAGE, f"cannot read {path}: {exc}"))
+    return obj
 
 
 def _fail(code: int, message: str) -> int:
@@ -45,6 +48,10 @@ def _fail(code: int, message: str) -> int:
 
 def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_USAGE, f"cannot write {path}: {exc}")
+
+
+# what reading an input file, or setting up its run, raises on bad content
+_INPUT_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError, MasobsError)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -64,93 +71,90 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def sensing_from_json(obj: dict) -> loc_mod.SensingGraph:
-    return loc_mod.SensingGraph(
-        agent_count=int(obj["agents"]),
-        relative_edges=tuple(tuple(e) for e in obj["relative_edges"]),
-        anchors=tuple(obj.get("anchors", ())))
+def _file_kind(obj: dict) -> str:
+    """Which input ``obj`` is: a "model" file, a "sensing" file, or a
+    scenario of kind "mas" (the default) or "localization"."""
+    if "relative_edges" in obj:
+        return "sensing"
+    if "m" in obj:
+        return "model"
+    return obj.get("kind", "mas")
 
 
-def _sensing_ids(obj: dict):
-    ids = obj.get("ids")
-    if ids is None:
-        return None
-    if not isinstance(ids, dict):
+def _model_from_file(obj: dict) -> mas_mod.MasModel:
+    """The model of a model file or of a ``mas`` scenario."""
+    return mas_mod.model_from_json(obj if _file_kind(obj) == "model" else obj["model"])
+
+
+def sensing_from_json(obj: dict):
+    """``(SensingGraph, ids, communication)`` of a sensing file, whose pinned
+    ``ids`` and ``communication`` graph are optional, or of a localization
+    scenario's ``sensing`` section and ``communication`` graph."""
+    if _file_kind(obj) == "localization":
+        sensing, comm = obj["sensing"], obj["communication"]
+    else:
+        sensing, comm = obj, obj.get("communication")
+    ids = sensing.get("ids")
+    if ids is not None and not isinstance(ids, dict):
         raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
-    return {int(k): int(v) for k, v in ids.items()}
+    sg = loc_mod.SensingGraph(agent_count=int(sensing["agents"]),
+                              relative_edges=sensing["relative_edges"],
+                              anchors=sensing.get("anchors", ()))
+    return sg, ids, None if comm is None else mas_mod._graph_from_json(comm)
 
 
 # ----------------------------------------------------------------------
 # check
 # ----------------------------------------------------------------------
 
-def _check_model(obj: dict) -> int:
-    try:
-        model = mas_mod.model_from_json(obj)
-    except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        print(f"FAIL structure: {_reason(exc)}")
-        return EXIT_CHECK
-    failures = 0
-    observable = mas_mod.check_node_observability(model)
-    if all(observable):
-        print("PASS node-level observability: every (A_ii, C_ii) pair observable")
-    else:
-        bad = [i for i, ok in zip(model.agents, observable) if not ok]
-        print(f"FAIL node-level observability: agents {bad} unobservable")
-        failures += 1
-    try:
-        ordering = mas_mod.check_topological_consistency(model)
-        print(f"PASS ordering consistency: shared topological ordering {list(ordering)}")
-    except AssumptionError as exc:
-        print(f"FAIL ordering consistency: {exc}")
-        failures += 1
-    if is_strongly_connected(model.communication_graph):
-        print("PASS communication connectivity: graph strongly connected")
-    else:
-        print("FAIL communication connectivity: graph not strongly connected")
-        failures += 1
-    return EXIT_CHECK if failures else EXIT_OK
+def _verdict(ok: bool, name: str, passed: str, failed: str):
+    return ok, name, passed if ok else failed
 
 
-def _check_sensing(obj: dict) -> int:
-    comm = obj.get("communication")
-    try:
-        sg = sensing_from_json(obj)
-        gc = None if comm is None else mas_mod._graph_from_json(comm)
-    except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        print(f"FAIL structure: {_reason(exc)}")
-        return EXIT_CHECK
-    failures = 0
-    if loc_mod.check_global_observability(sg):
-        print("PASS global observability: anchored sensing skeleton connected")
+def _verdicts(obj: dict) -> list:
+    """``(ok, name, detail)`` of every check on the model of a model file or
+    ``mas`` scenario, or on the sensing graph of a sensing file or
+    localization scenario, and on its communication graph."""
+    if _file_kind(obj) in ("sensing", "localization"):
+        sg, _, comm = sensing_from_json(obj)
+        unowned = [i for i, ok in enumerate(loc_mod.check_agent_observability(sg), start=1)
+                   if not ok]
+        verdicts = [
+            _verdict(loc_mod.check_global_observability(sg), "global observability",
+                     "anchored sensing skeleton connected",
+                     "sensing skeleton disconnected from anchors"),
+            _verdict(not unowned, "per-agent observability",
+                     "every agent owns a measurement", f"agents {unowned} own no measurement"),
+        ]
     else:
-        print("FAIL global observability: sensing skeleton disconnected from anchors")
-        failures += 1
-    per_agent = loc_mod.check_agent_observability(sg)
-    if all(per_agent):
-        print("PASS per-agent observability: every agent owns a measurement")
-    else:
-        bad = [i for i, ok in enumerate(per_agent, start=1) if not ok]
-        print(f"FAIL per-agent observability: agents {bad} own no measurement")
-        failures += 1
-    if gc is not None:
-        if is_strongly_connected(gc):
-            print("PASS communication connectivity: graph strongly connected")
-        else:
-            print("FAIL communication connectivity: graph not strongly connected")
-            failures += 1
-    return EXIT_CHECK if failures else EXIT_OK
+        model = _model_from_file(obj)
+        comm = model.communication_graph
+        unobservable = [i for i, ok in zip(model.agents,
+                                           mas_mod.check_node_observability(model)) if not ok]
+        verdicts = [_verdict(not unobservable, "node-level observability",
+                             "every (A_ii, C_ii) pair observable",
+                             f"agents {unobservable} unobservable")]
+        try:
+            ordering = list(mas_mod.check_topological_consistency(model))
+            verdicts.append((True, "ordering consistency",
+                             f"shared topological ordering {ordering}"))
+        except AssumptionError as exc:
+            verdicts.append((False, "ordering consistency", str(exc)))
+    if comm is not None:
+        verdicts.append(_verdict(is_strongly_connected(comm), "communication connectivity",
+                                 "graph strongly connected", "graph not strongly connected"))
+    return verdicts
 
 
 def cmd_check(args) -> int:
     obj = _load_json(args.path)
-    if "relative_edges" in obj:
-        return _check_sensing(obj)
-    if "agents" in obj and "m" in obj:
-        return _check_model(obj)
-    if "model" in obj:  # scenario file: check its embedded model
-        return _check_model(obj["model"])
-    return _fail(EXIT_USAGE, f"{args.path} is neither a model nor a sensing scenario")
+    try:
+        verdicts = _verdicts(obj)
+    except _INPUT_ERRORS as exc:
+        verdicts = [(False, "structure", _reason(exc))]
+    for ok, name, detail in verdicts:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    return EXIT_OK if all(ok for ok, _, _ in verdicts) else EXIT_CHECK
 
 
 # ----------------------------------------------------------------------
@@ -160,22 +164,14 @@ def cmd_check(args) -> int:
 def cmd_gains(args) -> int:
     obj = _load_json(args.path)
     try:
-        model = mas_mod.model_from_json(obj if "m" in obj else obj["model"])
-    except (KeyError, TypeError, ValueError, MasobsError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse model: {_reason(exc)}")
-    policy_kwargs = {"margin": args.margin}
-    if args.policy == "undirected":
-        policy_kwargs.update(weights="binary", mu="undirected", m_bar=args.m_bar)
-    elif args.policy == "directed":
-        policy_kwargs.update(weights="normalized-in", mu="directed", m_bar=args.m_bar)
-    elif args.policy == "global":
-        policy_kwargs.update(weights="binary", mu="global")
-    else:
-        return _fail(EXIT_USAGE, f"unknown policy {args.policy!r}")
-    if args.mu is not None:
-        policy_kwargs["mu"] = args.mu
+        model = _model_from_file(obj)
+    except _INPUT_ERRORS as exc:
+        return _fail(_exit_code(exc), f"cannot parse model: {_reason(exc)}")
     try:
-        gains, report = obs_mod.design_gains(model, **policy_kwargs)
+        gains, report = obs_mod.design_gains(
+            model, margin=args.margin,
+            weights="normalized-in" if args.policy == "directed" else "binary",
+            mu=args.policy if args.mu is None else args.mu, m_bar=args.m_bar)
     except MasobsError as exc:
         return _fail(_exit_code(exc), str(exc))
     print(f"largest block spectral radius: {report['rho_max']:.6g}")
@@ -229,47 +225,14 @@ def _plot_script(columns, csv_name: str) -> str:
 
 def scenario_from_file(obj: dict) -> sim_mod.ScenarioConfig:
     """Build a runnable configuration from either scenario file kind."""
-    kind = obj.get("kind", "mas")
-    if kind == "mas":
+    if _file_kind(obj) != "localization":
         return sim_mod.scenario_from_json(obj)
-    if kind == "localization":
-        sensing = obj["sensing"]
-        sg = sensing_from_json(sensing)
-        assignment = loc_mod.dagc(sg, ids=_sensing_ids(sensing),
-                                  seed=int(obj.get("seed", 0)))
-        gc = mas_mod._graph_from_json(obj["communication"])
-        order = obj.get("order", "single")
-        h = int(obj.get("h", 2))
-        model = loc_mod.build_localization_mas(assignment, gc, order=order, h=h)
-        gain_block = obj.get("gain_block")
-        gains = loc_mod.localization_gains(
-            model, weight_rule=obj.get("weight_rule", "binary"),
-            gain_block=gain_block,
-            input_mode=obj.get("input_mode", "full"))
-        policy = sim_mod.GainPolicy(
-            luenberger={i: gains.luenberger[i] for i in model.agents},
-            weights=obj.get("weight_rule", "binary"), mu=1.0,
-            input_mode=obj.get("input_mode", "full"))
-        inputs = None
-        if "inputs" in obj:
-            inputs = {int(k): sim_mod.signal_from_json(v)
-                      for k, v in obj["inputs"].items()}
-        initial = obj.get("initial_positions")
-        x0 = None
-        if initial is not None:
-            kinematics = loc_mod.AgentKinematics(
-                order=order, h=h, positions=tuple(tuple(p) for p in initial),
-                velocities=(tuple(tuple(v) for v in obj["initial_velocities"])
-                            if "initial_velocities" in obj else None))
-            x0 = tuple(kinematics.stacked_state())
-        return sim_mod.ScenarioConfig(
-            model=model, policy=policy, inputs=inputs,
-            noise=sim_mod.NoiseSpec(**obj.get("noise", {})),
-            t_end=float(obj["t_end"]), dt=float(obj["dt"]),
-            seed=int(obj.get("seed", 0)),
-            record_every=int(obj.get("record_every", 1)),
-            initial_state=x0)
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    sg, ids, comm = sensing_from_json(obj)
+    return scen_mod.localization_scenario(
+        sg, comm, ids=ids, order=obj.get("order", "single"), h=int(obj.get("h", 2)),
+        weight_rule=obj.get("weight_rule", "binary"), gain_block=obj.get("gain_block"),
+        input_mode=obj.get("input_mode", "full"), positions=obj.get("initial_positions"),
+        velocities=obj.get("initial_velocities"), **sim_mod.run_settings_from_json(obj))
 
 
 def _apply_overrides(cfg: sim_mod.ScenarioConfig, args) -> sim_mod.ScenarioConfig:
@@ -301,18 +264,15 @@ def cmd_run(args) -> int:
     obj = _load_json(args.path)
     try:
         cfg = scenario_from_file(obj)
-    except (KeyError, TypeError, ValueError, MasobsError) as exc:
+    except _INPUT_ERRORS as exc:
         return _fail(_exit_code(exc), f"cannot parse scenario: {_reason(exc)}")
-    try:
-        cfg = _apply_overrides(cfg, args)
-    except DomainError as exc:
-        return _fail(EXIT_USAGE, str(exc))
     out_dir = Path(args.out) if args.out else Path(args.path).with_suffix("") \
         .with_name(Path(args.path).stem + "_out")
     try:
+        cfg = _apply_overrides(cfg, args)
         trace = sim_mod.run_scenario(cfg)
-    except MasobsError as exc:
-        return _fail(_exit_code(exc), str(exc))
+    except _INPUT_ERRORS as exc:
+        return _fail(_exit_code(exc), _reason(exc))
     try:
         _write_bundle(out_dir, cfg, trace, args.subsample)
     except OSError as exc:
@@ -372,16 +332,11 @@ def cmd_dagc(args) -> int:
         return _fail(EXIT_USAGE, f"--seed must be nonnegative, got {args.seed}")
     obj = _load_json(args.path)
     try:
-        sg = sensing_from_json(obj)
-        ids = _sensing_ids(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"cannot parse sensing scenario: {_reason(exc)}")
-    try:
+        sg, ids, _ = sensing_from_json(obj)
         assignment = loc_mod.dagc(sg, ids=ids, seed=args.seed)
-    except LayerError as exc:
-        return _fail(EXIT_CHECK, str(exc))
+    except _INPUT_ERRORS as exc:
+        return _fail(_exit_code(exc), f"cannot parse sensing scenario: {_reason(exc)}")
     oriented = DirectedGraph.from_edges(sg.agent_count, assignment.oriented_edges)
-    from .graphs import topological_ordering
     topological_ordering(oriented)  # acyclicity sanity check before writing
     out_dir = Path(args.out) if args.out else Path(".")
     graph_path = out_dir / "oriented_sensing.txt"

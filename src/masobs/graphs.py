@@ -55,8 +55,9 @@ class DirectedGraph:
                 value = weight
             else:
                 src, dst, value = edge
-            if not (1 <= src <= node_count and 1 <= dst <= node_count):
-                raise ValueError(f"edge ({src}, {dst}) out of range 1..{node_count}")
+            if not all(isinstance(v, (int, np.integer)) and 1 <= v <= node_count
+                       for v in (src, dst)):
+                raise ValueError(f"edge ({src}, {dst}) needs integer endpoints in 1..{node_count}")
             if src == dst:
                 raise ValueError(f"self-loop ({src}, {dst}) not allowed")
             w[dst - 1, src - 1] = value

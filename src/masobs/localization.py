@@ -337,8 +337,7 @@ def build_localization_mas(assignment: DagcAssignment, gc: DirectedGraph,
                           c_couplings=c_couplings)
 
 
-def localization_gains(model: MasModel, weight_rule="binary", gain_block=None,
-                       input_mode: str = "full") -> ObserverGains:
+def localization_gains(model: MasModel, weight_rule="binary", gain_block=None) -> ObserverGains:
     """Observer gains for an integrator localization model.
 
     ``gain_block`` is the per-measurement output-injection block (defaults
@@ -358,8 +357,7 @@ def localization_gains(model: MasModel, weight_rule="binary", gain_block=None,
             raise DimensionError(f"gain block must be {(n_i, n_i)}, got {block.shape}")
         count = p_i // n_i
         luenberger[i] = np.hstack([block] * count)
-    return ObserverGains(luenberger=luenberger, mu=1.0, weights=weights,
-                         input_mode=input_mode)
+    return ObserverGains(luenberger=luenberger, mu=1.0, weights=weights)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import localization as loc_mod
 from . import observer as obs_mod
 from . import sim as sim_mod
 from .graphs import DirectedGraph
-from .localization import SensingGraph, build_localization_mas, dagc, localization_gains
+from .localization import (AgentKinematics, SensingGraph, build_localization_mas, dagc,
+                           localization_gains)
 from .mas import MasModel
 from .sim import (GainPolicy, JoinEvent, LeaveEvent, NoiseSpec, ScenarioConfig,
                   SinusoidInput, error_norms)
@@ -152,31 +152,51 @@ def ring_communication() -> DirectedGraph:
     return DirectedGraph.from_edges(6, edges)
 
 
+def localization_model(sensing: SensingGraph, communication: DirectedGraph, ids=None,
+                       seed: int = 0, order: str = "single", h: int = 2,
+                       weight_rule: str = "binary", gain_block=None):
+    """DAGC-oriented ``sensing`` turned into an integrator MAS over
+    ``communication``, plus its gains and the orientation; agent ids are
+    drawn from ``seed`` unless ``ids`` pins them."""
+    assignment = dagc(sensing, ids=ids, seed=seed)
+    model = build_localization_mas(assignment, communication, order=order, h=h)
+    gains = localization_gains(model, weight_rule=weight_rule, gain_block=gain_block)
+    return model, gains, assignment
+
+
+def localization_scenario(sensing: SensingGraph, communication: DirectedGraph, ids=None,
+                          order: str = "single", h: int = 2, weight_rule: str = "binary",
+                          gain_block=None, input_mode: str = "full", positions=None,
+                          velocities=None, **run) -> ScenarioConfig:
+    """A run of :func:`localization_model` at coupling gain 1, the agents
+    starting at ``positions`` (and ``velocities``).  ``run`` holds the other
+    ScenarioConfig fields; its seed draws the ids as well as the noise."""
+    model, gains, _ = localization_model(sensing, communication, ids, run.get("seed", 0),
+                                         order, h, weight_rule, gain_block)
+    policy = GainPolicy(
+        luenberger={i: gains.luenberger[i] for i in model.agents},
+        weights=weight_rule, mu=1.0, input_mode=input_mode)
+    x0 = None
+    if positions is not None:
+        x0 = tuple(AgentKinematics(order, h, positions, velocities).stacked_state())
+    return ScenarioConfig(model=model, policy=policy, initial_state=x0, **run)
+
+
 def ring_localization_model(order: str = "single"):
     """Oriented ring sensing turned into an integrator MAS, plus its gains."""
-    assignment = dagc(ring_sensing_graph(), ids=RING_IDS)
-    model = build_localization_mas(assignment, ring_communication(), order=order, h=2)
-    gains = localization_gains(model, weight_rule="binary", gain_block=_RING_GAIN_BLOCK)
-    return model, gains, assignment
+    return localization_model(ring_sensing_graph(), ring_communication(), RING_IDS,
+                              order=order, gain_block=_RING_GAIN_BLOCK)
 
 
 def ring_localization_scenario(known_input: bool = True, t_end: float = 200.0,
                                dt: float = 1e-2, seed: int = 11) -> ScenarioConfig:
-    model, gains, _ = ring_localization_model()
-    policy = GainPolicy(
-        luenberger={i: gains.luenberger[i] for i in model.agents},
-        weights="binary", mu=1.0,
-        input_mode="full" if known_input else "own-only")
     signal = SinusoidInput(amplitude=(-0.1, 0.1), frequency=0.01,
                            phase=(0.0, math.pi / 2.0))
-    kinematics = loc_mod.AgentKinematics(order="single", h=2,
-                                         positions=RING_POSITIONS)
-    return ScenarioConfig(
-        model=model, policy=policy,
-        inputs={i: signal for i in model.agents},
-        t_end=t_end, dt=dt, seed=seed, record_every=10,
-        initial_state=tuple(kinematics.stacked_state()),
-    )
+    return localization_scenario(
+        ring_sensing_graph(), ring_communication(), RING_IDS, gain_block=_RING_GAIN_BLOCK,
+        input_mode="full" if known_input else "own-only", positions=RING_POSITIONS,
+        inputs={i: signal for i in range(1, 7)}, t_end=t_end, dt=dt, seed=seed,
+        record_every=10)
 
 
 # ----------------------------------------------------------------------

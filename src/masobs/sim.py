@@ -673,15 +673,15 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
         seg_end = pending[0][0] if pending else total_steps
         at = np.ix_([0, 1] + [2 + all_labels.index(lab) for lab in labels],
                     _columns(col_of[lab] for lab in labels))
-        seg = _SegmentMap(model, gains, _StackedInput(model, labels, cfg.inputs),
-                          cfg.noise, z, seg_start * cfg.dt, cfg.dt)
-        y, dim = seg.y, len(z)
         stops = [k for k in record_idx if seg_start <= k <= seg_end]
         # a linear map never turns a non-finite entry finite again, so the
         # check at each record point sees every failure; the failing stride
-        # is rerun step by step to name its first non-finite step.  Overflow
-        # is reported as that NonFiniteError, not as a warning.
+        # is rerun step by step to name its first non-finite step.  Overflow in
+        # building or stepping the map is reported as that, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
+            seg = _SegmentMap(model, gains, _StackedInput(model, labels, cfg.inputs),
+                              cfg.noise, z, seg_start * cfg.dt, cfg.dt)
+            y, dim = seg.y, len(z)
             for k0, k1 in zip(stops, stops[1:]):
                 rec[rec_pos[k0]][at] = y[:dim].reshape(model.m + 2, model.n)
                 ext = seg.forcing(rng, k0, k1 - k0)
@@ -1028,13 +1028,24 @@ def scenario_to_json(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def scenario_from_json(obj: dict) -> ScenarioConfig:
-    if obj.get("kind", "mas") != "mas":
-        raise ValueError(f"not a mas scenario: kind={obj.get('kind')!r}")
+def run_settings_from_json(obj: dict) -> dict:
+    """The ScenarioConfig fields that every scenario kind reads alike."""
     inputs = None
     if "inputs" in obj:
         inputs = {int(lab): signal_from_json(sig) for lab, sig in obj["inputs"].items()}
     noise = obj.get("noise", {})
+    return dict(
+        inputs=inputs,
+        noise=NoiseSpec(process=float(noise.get("process", 0.0)),
+                        measurement=float(noise.get("measurement", 0.0))),
+        t_end=float(obj["t_end"]), dt=float(obj["dt"]),
+        seed=int(obj.get("seed", 0)),
+        record_every=int(obj.get("record_every", 1)))
+
+
+def scenario_from_json(obj: dict) -> ScenarioConfig:
+    if obj.get("kind", "mas") != "mas":
+        raise ValueError(f"not a mas scenario: kind={obj.get('kind')!r}")
     initial_estimates = obj.get("initial_estimates", "zero")
     if initial_estimates != "zero":
         initial_estimates = {part: {int(k): np.asarray(v, float) for k, v in spec.items()}
@@ -1042,16 +1053,11 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     return ScenarioConfig(
         model=mas_mod.model_from_json(obj["model"]),
         policy=policy_from_json(obj.get("gains", {})),
-        inputs=inputs,
-        noise=NoiseSpec(process=float(noise.get("process", 0.0)),
-                        measurement=float(noise.get("measurement", 0.0))),
         events=tuple(event_from_json(e) for e in obj.get("events", [])),
-        t_end=float(obj["t_end"]), dt=float(obj["dt"]),
-        seed=int(obj.get("seed", 0)),
-        record_every=int(obj.get("record_every", 1)),
         initial_state=(None if "initial_state" not in obj
                        else tuple(obj["initial_state"])),
         initial_estimates=initial_estimates,
+        **run_settings_from_json(obj),
     )
 
 

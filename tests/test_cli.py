@@ -20,17 +20,20 @@ def triple_model_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def ring_sensing_file(tmp_path):
+def _ring_sensing_payload():
     sg = ring_sensing_graph()
-    payload = {
+    return {
         "agents": sg.agent_count,
         "relative_edges": [list(e) for e in sg.relative_edges],
         "anchors": list(sg.anchors),
         "ids": {str(k): v for k, v in RING_IDS.items()},
     }
+
+
+@pytest.fixture
+def ring_sensing_file(tmp_path):
     path = tmp_path / "sensing.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(_ring_sensing_payload()))
     return path
 
 
@@ -358,6 +361,77 @@ class TestMalformedInput:
         if bad == "no-communication":
             assert "missing key 'communication'" in captured.out + captured.err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, kind, path, value, code, expect", [
+        pytest.param("run", "mas", "gains", [], 1, "error: cannot parse scenario: ",
+                     id="run-gains-list"),
+        pytest.param("run", "mas", "noise", [0.1], 1, "error: cannot parse scenario: ",
+                     id="run-noise-list"),
+        pytest.param("run", "mas", "inputs", [], 1, "error: cannot parse scenario: ",
+                     id="run-inputs-list"),
+        pytest.param("run", "mas", "gains.input_mode", "bogus", 1, "unknown input mode",
+                     id="run-input-mode-unknown"),
+        pytest.param("run", "mas", "gains.weights", "bogus", 1, "error: ",
+                     id="run-weights-unknown"),
+        pytest.param("run", "mas", "gains.mu", "x", 1, "error: ", id="run-mu-string"),
+        pytest.param("run", "mas", "initial_state", ["a", 0, 0, 0], 1, "error: ",
+                     id="run-initial-state-string"),
+        pytest.param("run", "localization", "inputs.1.amplitude", "ab", 1, "error: ",
+                     id="run-sinusoid-amplitude-string"),
+        pytest.param("run", "mas", "model.communication.edges.0", [2, 1.0], 1,
+                     "needs integer endpoints", id="run-float-edge-endpoint"),
+        pytest.param("gains", "mas", "model.communication.edges.0", [2, 1.0], 1,
+                     "error: cannot parse model: edge (2, 1.0)", id="gains-float-edge-endpoint"),
+        pytest.param("check", "mas", "model.communication.edges.0", [2, 1.0], 2,
+                     "FAIL structure: edge (2, 1.0)", id="check-float-edge-endpoint"),
+        pytest.param("run", "mas", None, [1, 2], 1, "expected a JSON object",
+                     id="run-not-an-object"),
+        pytest.param("run", "mas", "gains.mu", 1e308, 3, "error: state became non-finite",
+                     id="run-mu-overflow"),
+        pytest.param("dagc", "sensing", "ids", {"1": 5}, 1, "ids must cover exactly",
+                     id="dagc-ids-missing-agents"),
+        pytest.param("dagc", "sensing", "ids.1", 0, 1, "ids must be positive",
+                     id="dagc-id-zero"),
+        pytest.param("check", "unreachable", None, None, 2, "FAIL global observability",
+                     id="check-unreachable-agent"),
+        pytest.param("check", "localization", None, None, 0, "PASS global observability",
+                     id="check-localization-scenario"),
+        pytest.param("dagc", "localization", None, None, 0, "agent 2: layer 0",
+                     id="dagc-localization-scenario"),
+    ])
+    def test_no_traceback(self, tmp_path, capsys, command, kind, path, value, code, expect):
+        """The entry at dotted ``path`` of a small ``kind`` file is set to
+        ``value`` (``path`` None: the whole file is ``value``, if given)."""
+        payload = {"mas": lambda: scenario_to_json(coupled_triple_scenario(t_end=1.0)),
+                   "localization": lambda: _ring_localization_payload("single"),
+                   "sensing": _ring_sensing_payload,
+                   "unreachable": lambda: _malformed_model("unreachable-agent")}[kind]()
+        if path is None:
+            payload = payload if value is None else value
+        else:
+            *parents, last = path.split(".")
+            node = payload
+            for key in parents:
+                node = node[int(key) if isinstance(node, list) else key]
+            node[int(last) if isinstance(node, list) else last] = value
+        source = tmp_path / "input.json"
+        source.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, str(source)] + ([] if command == "check" else ["--out", str(out)])
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        if code == 0 or command == "check":
+            assert lines == [], lines
+            verdicts = captured.out.splitlines()
+            if command == "check":
+                assert all(v.startswith(("PASS ", "FAIL ")) for v in verdicts), verdicts
+                assert any(v.startswith("FAIL ") for v in verdicts) == (code != 0)
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert expect in captured.out + captured.err
+        assert out.exists() == (code == 0 and command != "check")
 
 
 class TestBadMargin:
