@@ -71,19 +71,43 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
+# the top-level keys that each input kind reads; any other key is refused
+_RUN_KEYS = {"inputs", "noise", "t_end", "dt", "seed", "record_every"}
+_KIND_KEYS = {
+    "model": {"m", "agents", "state_couplings", "output_couplings", "dynamics_edges",
+              "sensing_edges", "communication"},
+    "sensing": {"agents", "relative_edges", "anchors", "ids", "communication"},
+    "mas": {"kind", "model", "gains", "events", "initial_state", "initial_estimates",
+            *_RUN_KEYS},
+    "localization": {"kind", "sensing", "communication", "order", "h", "weight_rule",
+                     "gain_block", "input_mode", "initial_positions",
+                     "initial_velocities", *_RUN_KEYS},
+}
+
+
 def _file_kind(obj: dict) -> str:
     """Which input ``obj`` is: a "model" file, a "sensing" file, or a
-    scenario of kind "mas" (the default) or "localization"."""
+    scenario of kind "mas" (the default) or "localization".  Raises
+    ValueError for an unknown kind or a top-level key that kind never reads."""
     if "relative_edges" in obj:
-        return "sensing"
-    if "m" in obj:
-        return "model"
-    return obj.get("kind", "mas")
+        kind = "sensing"
+    elif "m" in obj:
+        kind = "model"
+    else:
+        kind = obj.get("kind", "mas")
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    unknown = sorted(set(obj) - _KIND_KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown top-level key {unknown[0]!r} in a {kind} file")
+    return kind
 
 
 def _model_from_file(obj: dict) -> mas_mod.MasModel:
-    """The model of a model file or of a ``mas`` scenario."""
-    return mas_mod.model_from_json(obj if _file_kind(obj) == "model" else obj["model"])
+    """The model of a model file, or the model that a scenario file runs."""
+    if _file_kind(obj) == "model":
+        return mas_mod.model_from_json(obj)
+    return scenario_from_file(obj).model
 
 
 def sensing_from_json(obj: dict):
@@ -95,8 +119,10 @@ def sensing_from_json(obj: dict):
     else:
         sensing, comm = obj, obj.get("communication")
     ids = sensing.get("ids")
-    if ids is not None and not isinstance(ids, dict):
-        raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
+    if ids is not None:
+        if not isinstance(ids, dict):
+            raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
+        ids = {int(k): int(v) for k, v in ids.items()}
     sg = loc_mod.SensingGraph(agent_count=int(sensing["agents"]),
                               relative_edges=sensing["relative_edges"],
                               anchors=sensing.get("anchors", ()))
@@ -307,8 +333,12 @@ def cmd_reproduce(args) -> int:
             trace = sim_mod.run_scenario(cfg)
         except MasobsError as exc:
             return _fail(_exit_code(exc), f"{experiment.key}: {exc}")
+        # an override may change the gains, so its checks are fitted to the
+        # config that ran, and only once that run has succeeded
+        checks = experiment.checks if cfg is experiment.config \
+            else experiment.checks_for(cfg)
         lines = []
-        for name, fn in experiment.checks:
+        for name, fn in checks:
             ok, detail = fn(trace)
             overall_ok = overall_ok and ok
             verdict = "PASS" if ok else "FAIL"

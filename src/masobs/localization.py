@@ -266,7 +266,6 @@ def dagc(sg: SensingGraph, ids=None, seed: int = 0) -> DagcAssignment:
         drawn = rng.integers(1, 10 ** 6, size=sg.agent_count, endpoint=True)
         ids = {i: int(drawn[i - 1]) for i in range(1, sg.agent_count + 1)}
     else:
-        ids = {int(k): int(v) for k, v in ids.items()}
         if set(ids) != set(range(1, sg.agent_count + 1)):
             raise ValueError("ids must cover exactly the agents 1..m")
         if any(v < 1 for v in ids.values()):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import observer as obs_mod
 from . import sim as sim_mod
+from .errors import DomainError
 from .graphs import DirectedGraph
 from .localization import (AgentKinematics, SensingGraph, build_localization_mas, dagc,
                            localization_gains)
@@ -208,14 +209,22 @@ class Experiment:
     key: str
     title: str
     config: ScenarioConfig
-    checks: tuple  # of (name, fn(trace) -> (ok, detail))
+    checks: tuple  # of (name, fn(trace) -> (ok, detail)), from checks_for(config)
+    checks_for: object  # fn(config) -> checks, constants fitted to config's gains
 
 
-def _fit_envelope_for(config: ScenarioConfig):
+def _envelope_check(name: str, config: ScenarioConfig, check):
+    """``(name, fn(trace))`` that runs ``check(trace, gains, kappa, eta)``
+    with the decay envelope of the error dynamics under ``config``'s gains,
+    or fails, saying so, when those dynamics are not Hurwitz."""
     gains, _ = sim_mod.resolve_gains(config.model, config.policy)
     dynamics = obs_mod.assemble_error_dynamics(config.model, gains)
-    kappa, eta = obs_mod.fit_decay_envelope(dynamics.r)
-    return gains, kappa, eta
+    try:
+        kappa, eta = obs_mod.fit_decay_envelope(dynamics.r)
+    except DomainError as exc:
+        detail = f"error dynamics: {exc}"
+        return name, lambda trace: (False, detail)
+    return name, lambda trace: check(trace, gains, kappa, eta)
 
 
 def _disturbance_checks(config: ScenarioConfig, channels, d_bar: float,
@@ -223,19 +232,17 @@ def _disturbance_checks(config: ScenarioConfig, channels, d_bar: float,
     """Checks of a run driven by bounded disturbances: the stacked error has
     a finite supremum and stays within the ISS bound for the error entry
     maps of ``channels``, each channel bounded by ``d_bar`` in norm."""
-    gains, kappa, eta = _fit_envelope_for(config)
-    maps = obs_mod.error_disturbance_matrices(config.model, gains)
-    g_norm = float(np.linalg.norm(np.hstack([maps[c] for c in channels]), 2))
-
     def check_sup(trace):
         sup = float(np.nanmax(trace.total_error))
         return math.isfinite(sup), f"sup stacked error {sup:.3e}"
 
-    def check_iss(trace):
+    def check_iss(trace, gains, kappa, eta):
+        maps = obs_mod.error_disturbance_matrices(config.model, gains)
+        g_norm = float(np.linalg.norm(np.hstack([maps[c] for c in channels]), 2))
         ok, worst = sim_mod.check_iss_bound(trace, kappa, eta, g_norm, d_bar)
         return ok, f"worst bound excess {worst:.3e}"
 
-    return (sup_name, check_sup), (bound_name, check_iss)
+    return (sup_name, check_sup), _envelope_check(bound_name, config, check_iss)
 
 
 def _check_final_pairs(threshold):
@@ -253,67 +260,50 @@ def _check_final_total(threshold):
     return check
 
 
-def _experiment_triple_basic() -> Experiment:
-    config = coupled_triple_scenario(noise=False)
-    _, kappa, eta = _fit_envelope_for(config)
-
-    def check_envelope(trace):
+def _triple_basic_checks(config: ScenarioConfig) -> tuple:
+    def check_envelope(trace, gains, kappa, eta):
         ok, worst = sim_mod.check_exponential_envelope(trace, kappa, eta)
         return ok, f"worst envelope excess {worst:.3e} (kappa={kappa:.3g}, eta={eta:.3g})"
 
-    return Experiment(
-        key="5A-basic", title="three-agent convergence, known inputs",
-        config=config,
-        checks=(("final pair errors below 1e-3", _check_final_pairs(1e-3)),
-                ("exponential envelope", check_envelope)))
+    return (("final pair errors below 1e-3", _check_final_pairs(1e-3)),
+            _envelope_check("exponential envelope", config, check_envelope))
 
 
-def _experiment_triple_noise() -> Experiment:
-    config = coupled_triple_scenario(noise=True)
+def _triple_noise_checks(config: ScenarioConfig) -> tuple:
     d_bar = 0.05 * math.sqrt(config.model.n + config.model.p)
-    return Experiment(
-        key="5A-noise", title="three-agent run under bounded noise",
-        config=config,
-        checks=_disturbance_checks(config, ("process", "measurement"), d_bar,
-                                   "error stays finite", "error within disturbance bound"))
+    return _disturbance_checks(config, ("process", "measurement"), d_bar,
+                               "error stays finite", "error within disturbance bound")
 
 
-def _experiment_plugin(kind: str) -> Experiment:
-    if kind == "join":
-        config = plugin_join_scenario()
-        title = "homogeneous MAS, agent 4 joins mid-run"
-        key = "5A-join"
-    else:
-        config = plugin_leave_scenario()
-        title = "homogeneous MAS, agent 2 leaves mid-run"
-        key = "5A-leave"
-    return Experiment(
-        key=key, title=title, config=config,
-        checks=(("post-event stacked error below 1e-2", _check_final_total(1e-2)),))
-
-
-def _experiment_ring(known: bool) -> Experiment:
-    config = ring_localization_scenario(known_input=known)
-    if known:
-        return Experiment(
-            key="5B-known", title="localization ring, inputs shared",
-            config=config,
-            checks=(("final position errors below 1e-3", _check_final_pairs(1e-3)),))
+def _ring_unknown_checks(config: ScenarioConfig) -> tuple:
     u_bar = 0.1 * math.sqrt(config.model.m)
-    return Experiment(
-        key="5B-unknown", title="localization ring, inputs private",
-        config=config,
-        checks=_disturbance_checks(config, ("unknown_input",), u_bar,
-                                   "error stays bounded", "error within unknown-input bound"))
+    return _disturbance_checks(config, ("unknown_input",), u_bar,
+                               "error stays bounded", "error within unknown-input bound")
 
 
+def _post_event_checks(config: ScenarioConfig) -> tuple:
+    return (("post-event stacked error below 1e-2", _check_final_total(1e-2)),)
+
+
+def _ring_known_checks(config: ScenarioConfig) -> tuple:
+    return (("final position errors below 1e-3", _check_final_pairs(1e-3)),)
+
+
+# key -> (title, default config, checks_for)
 _BUILDERS = {
-    "5A-basic": _experiment_triple_basic,
-    "5A-noise": _experiment_triple_noise,
-    "5A-join": lambda: _experiment_plugin("join"),
-    "5A-leave": lambda: _experiment_plugin("leave"),
-    "5B-known": lambda: _experiment_ring(True),
-    "5B-unknown": lambda: _experiment_ring(False),
+    "5A-basic": ("three-agent convergence, known inputs",
+                 lambda: coupled_triple_scenario(noise=False), _triple_basic_checks),
+    "5A-noise": ("three-agent run under bounded noise",
+                 lambda: coupled_triple_scenario(noise=True), _triple_noise_checks),
+    "5A-join": ("homogeneous MAS, agent 4 joins mid-run", plugin_join_scenario,
+                _post_event_checks),
+    "5A-leave": ("homogeneous MAS, agent 2 leaves mid-run", plugin_leave_scenario,
+                 _post_event_checks),
+    "5B-known": ("localization ring, inputs shared",
+                 lambda: ring_localization_scenario(known_input=True), _ring_known_checks),
+    "5B-unknown": ("localization ring, inputs private",
+                   lambda: ring_localization_scenario(known_input=False),
+                   _ring_unknown_checks),
 }
 
 ALIASES = {
@@ -331,7 +321,9 @@ EXPERIMENT_KEYS = tuple(_BUILDERS)
 def build_experiment(key: str) -> Experiment:
     key = ALIASES.get(key, key)
     try:
-        factory = _BUILDERS[key]
+        title, make_config, checks_for = _BUILDERS[key]
     except KeyError:
         raise KeyError(f"unknown experiment {key!r}; choose from {list(_BUILDERS)}") from None
-    return factory()
+    config = make_config()
+    return Experiment(key=key, title=title, config=config, checks=checks_for(config),
+                      checks_for=checks_for)

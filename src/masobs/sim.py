@@ -203,14 +203,17 @@ class ScenarioConfig:
 class SimulationTrace:
     """Time-indexed states, estimates and error norms of one scenario run.
 
-    All arrays share the recorded time grid.  ``x``/``xbar`` columns follow
-    ``labels`` with each agent's block width from ``state_dims``; ``xhat``
-    maps estimator label to that agent's stacked-estimate history.  Error
-    norms are recomputed from the stored states, never integrated.
+    ``table`` holds one row per recorded sample in the column order of
+    :func:`trace_columns`, and every other array is a view of it.
+    ``x``/``xbar`` columns follow ``labels`` with each agent's block width
+    from ``state_dims``; ``xhat`` maps estimator label to that agent's
+    stacked-estimate history.  Error norms are recomputed from the stored
+    states, never integrated.
     """
 
     labels: tuple
     state_dims: dict
+    table: np.ndarray
     times: np.ndarray
     x: np.ndarray
     xbar: np.ndarray
@@ -643,11 +646,19 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
                             event_steps + [total_steps]).tolist()
     rec_pos = {k: idx for idx, k in enumerate(record_idx)}
     n_rec = len(record_idx)
+    width = len(all_labels)
+    n_state = (width + 2) * n_total
 
-    times = np.array([k * cfg.dt for k in record_idx])
+    # the trace in trace_columns order: t, the state block, then the pair
+    # norms (estimator-major), the bar norms and E_norm
+    table = np.full((n_rec, 1 + n_state + width * width + width + 1), np.nan)
+    times = table[:, 0]
+    times[:] = [k * cfg.dt for k in record_idx]
     # rec[s] is the segment state z laid out as (m + 2) x n, widened to every
     # label: row 0 is x, row 1 xbar, row 2 + a the estimate of all_labels[a]
-    rec = np.full((n_rec, len(all_labels) + 2, n_total), np.nan)
+    rec = table[:, 1:1 + n_state]
+    rec.shape = (n_rec, width + 2, n_total)  # raises rather than copy
+    norms = table[:, 1 + n_state:]
 
     z = np.zeros((model.m + 2) * model.n)
     z_rows = z.reshape(model.m + 2, model.n)
@@ -706,16 +717,16 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     total_sq = np.zeros(n_rec)
     # overflow is reported below as a NonFiniteError, not as a warning
     with np.errstate(over="ignore"):
-        for j in all_labels:
+        for b, j in enumerate(all_labels):
             xj = x_rec[:, col_of[j]]
-            bar = np.linalg.norm(xbar_rec[:, col_of[j]] - xj, axis=1)
-            bar_errors[j] = bar
+            bar = bar_errors[j] = norms[:, width * width + b]
+            bar[:] = np.linalg.norm(xbar_rec[:, col_of[j]] - xj, axis=1)
             total_sq += np.where(np.isnan(bar), 0.0, bar ** 2)
-            for i in all_labels:
-                err = np.linalg.norm(xhat_rec[i][:, col_of[j]] - xj, axis=1)
-                pair_errors[(i, j)] = err
+            for a, i in enumerate(all_labels):
+                err = pair_errors[(i, j)] = norms[:, a * width + b]
+                err[:] = np.linalg.norm(xhat_rec[i][:, col_of[j]] - xj, axis=1)
                 total_sq += np.where(np.isnan(err), 0.0, err ** 2)
-    total_error = np.sqrt(total_sq)
+    total_error = np.sqrt(total_sq, out=norms[:, -1])
     if not np.all(np.isfinite(total_error)):
         t_bad = times[~np.isfinite(total_error)][0]
         raise NonFiniteError(f"recomputed error norm is not finite at t={t_bad:.6g}")
@@ -723,6 +734,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     return SimulationTrace(
         labels=all_labels,
         state_dims=dims,
+        table=table,
         times=times,
         x=x_rec,
         xbar=xbar_rec,
@@ -830,17 +842,6 @@ def trace_columns(trace: SimulationTrace):
     return cols
 
 
-def trace_matrix(trace: SimulationTrace) -> np.ndarray:
-    """Trace as one dense matrix matching :func:`trace_columns`."""
-    blocks = [trace.times[:, None], trace.x, trace.xbar]
-    blocks += [trace.xhat[i] for i in trace.labels]
-    blocks += [trace.pair_errors[(i, j)][:, None]
-               for i in trace.labels for j in trace.labels]
-    blocks += [trace.bar_errors[j][:, None] for j in trace.labels]
-    blocks.append(trace.total_error[:, None])
-    return np.hstack(blocks)
-
-
 #: fewest trace values worth a writer process of their own.  A fork, its
 #: wait and its part file cost about 3 ms at 70-110 MB RSS on a 2-core VM,
 #: the time to format about 2,500 values, so a writer spends about 4 % on them.
@@ -889,11 +890,10 @@ def write_trace_csv(trace: SimulationTrace, path, subsample: int = 1) -> None:
     not depend on the CPU count.  Only the finished file is renamed to
     ``path``; on any failure the ``.part`` file is removed.
     """
-    full = trace_matrix(trace)
-    matrix = full[::subsample]
+    matrix = trace.table[::subsample]
     # keep the final sample even when subsampling skips it
     if (len(trace.times) - 1) % subsample != 0:
-        matrix = np.vstack([matrix, full[-1]])
+        matrix = np.vstack([matrix, trace.table[-1]])
     writers = _writer_count(matrix.size)
     bounds = [len(matrix) * k // writers for k in range(writers + 1)]
     parts, pids = [], []

@@ -399,6 +399,15 @@ class TestMalformedInput:
                      id="check-localization-scenario"),
         pytest.param("dagc", "localization", None, None, 0, "agent 2: layer 0",
                      id="dagc-localization-scenario"),
+        pytest.param("gains", "localization", None, None, 0, "selected coupling gain: 1",
+                     id="gains-localization-scenario"),
+        pytest.param("check", "sensing", "ids", {"1": "a"}, 2,
+                     "FAIL structure: invalid literal for int()", id="check-ids-not-integers"),
+        pytest.param("run", "localization", "initial_postions", [[0, 0]] * 6, 1,
+                     "unknown top-level key 'initial_postions'", id="run-unknown-key"),
+        pytest.param("check", "localization", "initial_postions", [[0, 0]] * 6, 2,
+                     "FAIL structure: unknown top-level key 'initial_postions'",
+                     id="check-unknown-key"),
     ])
     def test_no_traceback(self, tmp_path, capsys, command, kind, path, value, code, expect):
         """The entry at dotted ``path`` of a small ``kind`` file is set to
@@ -524,6 +533,23 @@ class TestReproduce:
         assert cli.main(["run", str(replay_path), "--out", str(tmp_path / "replay")]) == 0
         assert (tmp_path / "replay" / "trace.csv").read_bytes() == \
             (bundle / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("mu, code, start, end", [
+        pytest.param("40", 0, "  PASS exponential envelope: ", "(kappa=4.38, eta=1.53)",
+                     id="hurwitz"),
+        pytest.param("3", 2, "  FAIL exponential envelope: ",
+                     "error dynamics: matrix is not Hurwitz; no decay envelope exists",
+                     id="not-hurwitz"),
+    ])
+    def test_mu_override_is_judged_by_its_own_gains(self, tmp_path, capsys, mu, code,
+                                                    start, end):
+        argv = ["reproduce", "5A-basic", "--mu", mu, "--t-end", "5",
+                "--out", str(tmp_path / "repro")]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = [v for v in captured.out.splitlines() if v.startswith(start)]
+        assert len(lines) == 1 and lines[0].endswith(end), captured.out
 
     def test_alias_accepted(self, tmp_path):
         assert cli.main(["reproduce", "coupled-basic",

@@ -25,7 +25,7 @@ from masobs.sim import (ConstantInput, GainPolicy, JoinEvent, LeaveEvent,
                         SinusoidInput, apply_event, check_exponential_envelope, error_norms,
                         read_trace_csv, resolve_gains, rk4_step_map,
                         run_scenario, scenario_from_json, scenario_to_json,
-                        trace_columns, trace_matrix, write_metadata,
+                        trace_columns, write_metadata,
                         write_trace_csv)
 from masobs.synth import random_mas_model
 
@@ -54,7 +54,7 @@ def _repr_trace(rows):
     values = [np.nan, -0.0, 0.1, 1e16, 1e-05, 5e-324]
     cells = np.resize(values, (rows, 7))
     return SimulationTrace(
-        labels=(1,), state_dims={1: 1}, times=cells[:, 0], x=cells[:, 1:2],
+        labels=(1,), state_dims={1: 1}, table=cells, times=cells[:, 0], x=cells[:, 1:2],
         xbar=cells[:, 2:3], xhat={1: cells[:, 3:4]}, pair_errors={(1, 1): cells[:, 4]},
         bar_errors={1: cells[:, 5]}, total_error=cells[:, 6], events=[], gain_log=[],
         meta={})
@@ -62,7 +62,7 @@ def _repr_trace(rows):
 
 def _reference_csv(trace, subsample):
     """The trace file's bytes from a one-value-at-a-time reference writer."""
-    cells = trace_matrix(trace)
+    cells = trace.table
     rows = list(cells[::subsample])
     if (len(cells) - 1) % subsample:
         rows.append(cells[-1])
@@ -349,13 +349,13 @@ class TestRunScenario:
         cfg = coupled_triple_scenario(noise=True, t_end=1.0)
         t1 = run_scenario(cfg)
         t2 = run_scenario(cfg)
-        assert np.array_equal(trace_matrix(t1), trace_matrix(t2))
+        assert np.array_equal(t1.table, t2.table)
         reseeded = ScenarioConfig(model=cfg.model, policy=cfg.policy,
                                   noise=cfg.noise, t_end=1.0, dt=cfg.dt,
                                   seed=cfg.seed + 1, record_every=cfg.record_every,
                                   initial_state=cfg.initial_state)
         t3 = run_scenario(reseeded)
-        assert not np.array_equal(trace_matrix(t1), trace_matrix(t3))
+        assert not np.array_equal(t1.table, t3.table)
 
     def test_overflow_inside_a_record_stride_names_its_step(self):
         cfg = replace(_short_triple(), dt=0.5, t_end=1000.0, record_every=10)
@@ -471,7 +471,7 @@ class TestTraceOutput:
         write_trace_csv(trace, csv_path)
         header, data = read_trace_csv(csv_path)
         assert header == trace_columns(trace)
-        assert np.allclose(data, trace_matrix(trace), equal_nan=True)
+        assert np.allclose(data, trace.table, equal_nan=True)
         # recomputing the stacked norm from the file matches the stored column
         idx = {name: k for k, name in enumerate(header)}
         err_cols = [idx[c] for c in header if c.startswith(("err[", "errbar["))]
@@ -481,6 +481,19 @@ class TestTraceOutput:
         import json
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["summary"]["total_final"] == pytest.approx(trace.total_error[-1])
+
+    def test_trace_arrays_are_views_of_the_written_table(self, tmp_path):
+        cfg = plugin_join_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        trace = run_scenario(replace(cfg, record_every=7))
+        arrays = [trace.times, trace.x, trace.xbar, trace.total_error,
+                  *trace.xhat.values(), *trace.pair_errors.values(),
+                  *trace.bar_errors.values()]
+        assert len(arrays) == 4 + 4 + 16 + 4
+        assert all(np.shares_memory(arr, trace.table) for arr in arrays)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        header, data = read_trace_csv(tmp_path / "trace.csv")
+        assert header == trace_columns(trace)
+        assert np.array_equal(data, trace.table, equal_nan=True)
 
     def test_subsample_keeps_final_row(self, tmp_path):
         trace = run_scenario(_short_triple(t_end=1.0))
@@ -566,7 +579,7 @@ class TestScenarioSerialization:
         again = scenario_from_json(payload)
         t1 = run_scenario(cfg)
         t2 = run_scenario(again)
-        assert np.array_equal(trace_matrix(t1), trace_matrix(t2))
+        assert np.array_equal(t1.table, t2.table)
 
     def test_event_roundtrip(self):
         cfg = plugin_join_scenario(mu=572, t_end=18.0)
