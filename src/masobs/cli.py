@@ -19,7 +19,7 @@ from . import scenarios as scen_mod
 from . import sim as sim_mod
 from .errors import (AssumptionError, ConnectivityError, DomainError, LayerError,
                      MasobsError, NonFiniteError, UnobservableError)
-from .graphs import DirectedGraph, is_strongly_connected, topological_ordering
+from .graphs import DirectedGraph, as_int, is_strongly_connected, topological_ordering
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,8 +122,8 @@ def sensing_from_json(obj: dict):
     if ids is not None:
         if not isinstance(ids, dict):
             raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
-        ids = {int(k): int(v) for k, v in ids.items()}
-    sg = loc_mod.SensingGraph(agent_count=int(sensing["agents"]),
+        ids = {int(k): as_int(v, f"id of agent {k}") for k, v in ids.items()}
+    sg = loc_mod.SensingGraph(agent_count=as_int(sensing["agents"], "agents"),
                               relative_edges=sensing["relative_edges"],
                               anchors=sensing.get("anchors", ()))
     return sg, ids, None if comm is None else mas_mod._graph_from_json(comm)
@@ -255,7 +255,7 @@ def scenario_from_file(obj: dict) -> sim_mod.ScenarioConfig:
         return sim_mod.scenario_from_json(obj)
     sg, ids, comm = sensing_from_json(obj)
     return scen_mod.localization_scenario(
-        sg, comm, ids=ids, order=obj.get("order", "single"), h=int(obj.get("h", 2)),
+        sg, comm, ids=ids, order=obj.get("order", "single"), h=as_int(obj.get("h", 2), "h"),
         weight_rule=obj.get("weight_rule", "binary"), gain_block=obj.get("gain_block"),
         input_mode=obj.get("input_mode", "full"), positions=obj.get("initial_positions"),
         velocities=obj.get("initial_velocities"), **sim_mod.run_settings_from_json(obj))

@@ -16,6 +16,19 @@ import numpy as np
 from .errors import CycleError, SymmetryError
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, but not a bool.
+    int() would read 1.5 as 1 and True as 1 without a word."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; ValueError naming ``what`` if it is no integer."""
+    if not is_integer(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_weight_matrix(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
@@ -55,8 +68,7 @@ class DirectedGraph:
                 value = weight
             else:
                 src, dst, value = edge
-            if not all(isinstance(v, (int, np.integer)) and 1 <= v <= node_count
-                       for v in (src, dst)):
+            if not all(is_integer(v) and 1 <= v <= node_count for v in (src, dst)):
                 raise ValueError(f"edge ({src}, {dst}) needs integer endpoints in 1..{node_count}")
             if src == dst:
                 raise ValueError(f"self-loop ({src}, {dst}) not allowed")

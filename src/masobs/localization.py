@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DimensionError, LayerError
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, as_int
 from .mas import MasModel, numerical_rank
 from .observer import ObserverGains, consensus_weight_set
 
@@ -85,7 +85,8 @@ class SensingGraph:
         m = self.agent_count
         if m < 1:
             raise ValueError("need at least one agent")
-        edges = tuple((int(a), int(b)) for a, b in self.relative_edges)
+        edges = tuple((as_int(a, "edge endpoint"), as_int(b, "edge endpoint"))
+                      for a, b in self.relative_edges)
         for a, b in edges:
             if not (1 <= a <= m and 1 <= b <= m):
                 raise ValueError(f"edge ({a},{b}) out of range 1..{m}")
@@ -93,7 +94,7 @@ class SensingGraph:
                 raise ValueError(f"self-measurement ({a},{b}) not allowed")
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate relative edges")
-        anchors = tuple(sorted(int(k) for k in set(self.anchors)))
+        anchors = tuple(sorted({as_int(k, "anchor") for k in self.anchors}))
         for k in anchors:
             if not 1 <= k <= m:
                 raise ValueError(f"anchor {k} out of range 1..{m}")

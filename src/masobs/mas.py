@@ -7,15 +7,15 @@ The plant is a set of m linear subsystems
 
 where the state-coupling sums run over in-neighbors in the dynamics graph
 and the output-coupling sums over in-neighbors in the sensing graph.  Blocks
-are stored sparsely: an off-diagonal block exists exactly when the matching
-edge does.
+are stored sparsely, and those two graphs are read off them: an off-diagonal
+block (i, j) is the edge (j, i).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -36,14 +36,16 @@ def _freeze(arr) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MasModel:
-    """Immutable description of the coupled plant and its three graphs."""
+    """Immutable description of the coupled plant: its blocks and its
+    communication graph, which sets the agent count.  The dynamics and
+    sensing graphs are derived from the off-diagonal A and C block keys."""
 
     a_blocks: "MappingProxyType"
     b_blocks: "MappingProxyType"
     c_blocks: "MappingProxyType"
-    dynamics_graph: DirectedGraph
-    sensing_graph: DirectedGraph
     communication_graph: DirectedGraph
+    dynamics_graph: DirectedGraph = field(init=False)
+    sensing_graph: DirectedGraph = field(init=False)
 
     def __post_init__(self):
         a = {k: _freeze(v) for k, v in dict(self.a_blocks).items()}
@@ -53,6 +55,9 @@ class MasModel:
         object.__setattr__(self, "b_blocks", MappingProxyType(b))
         object.__setattr__(self, "c_blocks", MappingProxyType(c))
         self._validate()
+        for name, blocks in (("dynamics_graph", a), ("sensing_graph", c)):
+            object.__setattr__(self, name, DirectedGraph.from_edges(
+                self.m, [(j, i) for i, j in blocks if i != j]))
         # block offsets into the stacked state, input and output vectors
         for name, dims in (("_state_offsets", self.state_dims),
                            ("_input_offsets", self.input_dims),
@@ -69,31 +74,21 @@ class MasModel:
         ``a_diag``/``c_diag``/``b_diag`` are sequences indexed by agent
         (agent i at position i-1).  Couplings are mappings (i, j) -> block
         meaning "agent j's state enters agent i's equation"; exactly-zero
-        blocks are dropped.  The dynamics and sensing graphs are derived
-        from the coupling keys with unit weights.
+        blocks are dropped, so they add no edge to the derived graphs.
         """
         m = len(a_diag)
         if len(c_diag) != m:
             raise DimensionError("a_diag and c_diag must have one block per agent")
-        a_couplings = dict(a_couplings or {})
-        c_couplings = dict(c_couplings or {})
         a_blocks = {}
         c_blocks = {}
         for i in range(1, m + 1):
             a_blocks[(i, i)] = np.atleast_2d(np.asarray(a_diag[i - 1], dtype=float))
             c_blocks[(i, i)] = np.atleast_2d(np.asarray(c_diag[i - 1], dtype=float))
-        s_edges = []
-        o_edges = []
-        for (i, j), block in a_couplings.items():
-            block = np.atleast_2d(np.asarray(block, dtype=float))
-            if np.any(block != 0.0):
-                a_blocks[(i, j)] = block
-                s_edges.append((j, i))
-        for (i, j), block in c_couplings.items():
-            block = np.atleast_2d(np.asarray(block, dtype=float))
-            if np.any(block != 0.0):
-                c_blocks[(i, j)] = block
-                o_edges.append((j, i))
+        for blocks, couplings in ((a_blocks, a_couplings), (c_blocks, c_couplings)):
+            for key, block in dict(couplings or {}).items():
+                block = np.atleast_2d(np.asarray(block, dtype=float))
+                if np.any(block != 0.0):
+                    blocks[key] = block
         b_blocks = {}
         for i in range(1, m + 1):
             n_i = a_blocks[(i, i)].shape[0]
@@ -105,52 +100,32 @@ class MasModel:
             a_blocks=a_blocks,
             b_blocks=b_blocks,
             c_blocks=c_blocks,
-            dynamics_graph=DirectedGraph.from_edges(m, s_edges),
-            sensing_graph=DirectedGraph.from_edges(m, o_edges),
             communication_graph=communication,
         )
 
     # -- validation ----------------------------------------------------
 
     def _validate(self):
-        m = self.dynamics_graph.node_count
-        if self.sensing_graph.node_count != m or self.communication_graph.node_count != m:
-            raise DimensionError("all three graphs must share the agent count")
-        for i in range(1, m + 1):
-            if (i, i) not in self.a_blocks:
-                raise DimensionError(f"missing diagonal A block for agent {i}")
-            if (i, i) not in self.c_blocks:
-                raise DimensionError(f"missing diagonal C block for agent {i}")
-            if i not in self.b_blocks:
-                raise DimensionError(f"missing B block for agent {i}")
+        """One diagonal A, C and B block per agent 1..m, and every block of
+        the shape its agents' dimensions give."""
+        agents = set(self.agents)
+        for name, keys in (("diagonal A", {i for i, j in self.a_blocks if i == j}),
+                           ("diagonal C", {i for i, j in self.c_blocks if i == j}),
+                           ("B", set(self.b_blocks))):
+            if keys != agents:
+                raise DimensionError(f"need one {name} block for each agent 1..{self.m}, "
+                                     f"got agents {sorted(keys)}")
         dims = self.state_dims
-        for (i, j), block in self.a_blocks.items():
-            if block.shape != (dims[i - 1], dims[j - 1]):
-                raise DimensionError(
-                    f"A block ({i},{j}) has shape {block.shape}, "
-                    f"expected {(dims[i - 1], dims[j - 1])}")
-            if i != j:
-                if not self.dynamics_graph.has_edge(j, i):
-                    raise AssumptionError(f"A block ({i},{j}) present without edge ({j},{i})")
-                if not np.any(block != 0.0):
-                    raise AssumptionError(f"A block ({i},{j}) must be nonzero")
-        for (j, i) in self.dynamics_graph.edges:
-            if (i, j) not in self.a_blocks:
-                raise AssumptionError(f"dynamics edge ({j},{i}) without A block ({i},{j})")
-        outs = self.output_dims
-        for (i, j), block in self.c_blocks.items():
-            if block.shape != (outs[i - 1], dims[j - 1]):
-                raise DimensionError(
-                    f"C block ({i},{j}) has shape {block.shape}, "
-                    f"expected {(outs[i - 1], dims[j - 1])}")
-            if i != j:
-                if not self.sensing_graph.has_edge(j, i):
-                    raise AssumptionError(f"C block ({i},{j}) present without edge ({j},{i})")
-                if not np.any(block != 0.0):
-                    raise AssumptionError(f"C block ({i},{j}) must be nonzero")
-        for (j, i) in self.sensing_graph.edges:
-            if (i, j) not in self.c_blocks:
-                raise AssumptionError(f"sensing edge ({j},{i}) without C block ({i},{j})")
+        for name, blocks, rows in (("A", self.a_blocks, dims),
+                                   ("C", self.c_blocks, self.output_dims)):
+            for (i, j), block in blocks.items():
+                if not all(graphs.is_integer(v) and v in agents for v in (i, j)):
+                    raise DimensionError(f"{name} block ({i},{j}) needs integer agents "
+                                         f"in 1..{self.m}")
+                if block.shape != (rows[i - 1], dims[j - 1]):
+                    raise DimensionError(
+                        f"{name} block ({i},{j}) has shape {block.shape}, "
+                        f"expected {(rows[i - 1], dims[j - 1])}")
         for i, block in self.b_blocks.items():
             if block.shape[0] != dims[i - 1]:
                 raise DimensionError(f"B block for agent {i} has {block.shape[0]} rows, "
@@ -160,7 +135,7 @@ class MasModel:
 
     @property
     def m(self) -> int:
-        return self.dynamics_graph.node_count
+        return self.communication_graph.node_count
 
     @property
     def agents(self):
@@ -325,7 +300,8 @@ def _graph_to_json(g: DirectedGraph):
 def _graph_from_json(obj) -> DirectedGraph:
     if "graph_file" in obj:
         return DirectedGraph.from_text(Path(obj["graph_file"]).read_text())
-    return DirectedGraph.from_edges(obj["nodes"], [tuple(e) for e in obj["edges"]])
+    return DirectedGraph.from_edges(graphs.as_int(obj["nodes"], "nodes"),
+                                    [tuple(e) for e in obj["edges"]])
 
 
 def model_to_json(mas: MasModel) -> dict:
@@ -353,8 +329,7 @@ def model_to_json(mas: MasModel) -> dict:
 
 
 def model_from_json(obj: dict) -> MasModel:
-    m = obj["m"]
-    if len(obj["agents"]) != m:
+    if len(obj["agents"]) != graphs.as_int(obj["m"], "m"):
         raise DimensionError("agent list length does not match 'm'")
     a_diag = [entry["A"] for entry in obj["agents"]]
     c_diag = [entry["C"] for entry in obj["agents"]]

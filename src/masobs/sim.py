@@ -30,7 +30,7 @@ from . import mas as mas_mod
 from . import observer as obs_mod
 from .errors import (AssumptionError, ConnectivityError, DimensionError,
                      DomainError, NonFiniteError)
-from .graphs import DirectedGraph, is_strongly_connected
+from .graphs import DirectedGraph, as_int, is_strongly_connected
 from .mas import MasModel, check_node_observability, check_topological_consistency
 from .observer import ObserverGains
 
@@ -138,22 +138,42 @@ class GainPolicy:
     input_mode: str = "full"
 
 
-@dataclass(frozen=True)
+def _frozen_block(value) -> np.ndarray:
+    return np.atleast_2d(mas_mod._freeze(value))
+
+
+@dataclass(frozen=True, eq=False)
 class JoinEvent:
     """A new agent appears: its blocks, couplings (keyed by labels), initial
     plant state, replacement communication edges, and (for explicit gain
-    policies) its Luenberger gain."""
+    policies) its Luenberger gain.  Blocks and the initial state are
+    converted to read-only float arrays when the event is made."""
 
     time: float
     label: int
-    a_block: tuple
-    c_block: tuple
-    initial_state: tuple
-    b_block: tuple = None
+    a_block: np.ndarray
+    c_block: np.ndarray
+    initial_state: np.ndarray
+    b_block: np.ndarray = None
     state_couplings: tuple = ()      # ((i_label, j_label, block), ...)
     output_couplings: tuple = ()
     communication: tuple = ()        # ((src_label, dst_label, weight), ...)
-    luenberger: tuple = None
+    luenberger: np.ndarray = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_block", _frozen_block(self.a_block))
+        object.__setattr__(self, "c_block", _frozen_block(self.c_block))
+        for name in ("b_block", "luenberger"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen_block(getattr(self, name)))
+        for name in ("state_couplings", "output_couplings"):
+            object.__setattr__(self, name, tuple(
+                (i, j, _frozen_block(blk)) for i, j, blk in getattr(self, name)))
+        init = mas_mod._freeze(self.initial_state)
+        if init.shape != (self.a_block.shape[0],):
+            raise DimensionError(f"initial state for agent {self.label} must have "
+                                 f"shape ({self.a_block.shape[0]},)")
+        object.__setattr__(self, "initial_state", init)
 
 
 @dataclass(frozen=True)
@@ -376,21 +396,15 @@ def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, label
         if not event.communication:
             raise DomainError("a join event must carry the new communication edges")
         new_labels = tuple(sorted(labels + (event.label,)))
-        a_diag[event.label] = np.atleast_2d(np.asarray(event.a_block, float))
-        c_diag[event.label] = np.atleast_2d(np.asarray(event.c_block, float))
-        n_new = a_diag[event.label].shape[0]
-        b_diag[event.label] = (None if event.b_block is None
-                               else np.atleast_2d(np.asarray(event.b_block, float)))
+        a_diag[event.label] = event.a_block
+        c_diag[event.label] = event.c_block
+        b_diag[event.label] = event.b_block
         for i, j, blk in event.state_couplings:
-            a_cpl[(i, j)] = np.atleast_2d(np.asarray(blk, float))
+            a_cpl[(i, j)] = blk
         for i, j, blk in event.output_couplings:
-            c_cpl[(i, j)] = np.atleast_2d(np.asarray(blk, float))
+            c_cpl[(i, j)] = blk
         new_model = _build_labelled_model(new_labels, a_diag, b_diag, c_diag,
                                           a_cpl, c_cpl, event.communication)
-        init = np.asarray(event.initial_state, float)
-        if init.shape != (n_new,):
-            raise DimensionError(f"initial state for agent {event.label} must have "
-                                 f"shape ({n_new},)")
         policy_out = policy
         if isinstance(policy.luenberger, dict):
             if event.luenberger is None and event.label not in policy.luenberger:
@@ -398,7 +412,7 @@ def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, label
                                   "for the joining agent")
             updated = dict(policy.luenberger)
             if event.luenberger is not None:
-                updated[event.label] = np.atleast_2d(np.asarray(event.luenberger, float))
+                updated[event.label] = event.luenberger
             policy_out = replace(policy, luenberger=updated)
     elif isinstance(event, LeaveEvent):
         if event.label not in labels:
@@ -435,18 +449,27 @@ def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, label
     new_z = np.zeros((new_model.m + 2, new_model.n))
     new_z[new] = z.reshape(model.m + 2, model.n)[old]
     if isinstance(event, JoinEvent):
-        new_z[0, new_model.state_slice(new_labels.index(event.label) + 1)] = init
+        new_z[0, new_model.state_slice(new_labels.index(event.label) + 1)] = event.initial_state
     return new_model, policy_out, new_gains, new_z.ravel(), new_labels, report
 
 
-class _StackedInput:
-    """The stacked input channels of the current label set, by signal kind."""
+class _SegmentMap:
+    """One RK4 step of a segment as a single matrix.
 
-    def __init__(self, model, labels, signals):
-        self.const = np.zeros(model.k)
-        self.amp = np.zeros(model.k)
-        self.freq = np.zeros(model.k)
-        self.phase = np.zeros(model.k)
+    The stepped vector is y = [z; s; e].  s holds [sin(omega t + phi);
+    cos(omega t + phi)] of every sinusoid channel, a constant c being the
+    sinusoid c sin(0 t + pi/2); its rows of ``step`` rotate it by omega dt,
+    which is exact, so these inputs at t, t + dt/2 and t + dt are columns of
+    the same matvec.  e holds the per-step values: the noise draws [w; v] of
+    the active families, then the piecewise channels at t, at t + dt/2 and
+    at t + dt.  One step is y[:len(step)] += step @ y.
+    """
+
+    def __init__(self, model, gains, labels, signals, noise: NoiseSpec, z, t0, dt):
+        m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
+        # amplitude, frequency and phase of every input channel of the current
+        # label set, zero where no sinusoid or constant drives it
+        amp, freq, phase = np.zeros(model.k), np.zeros(model.k), np.zeros(model.k)
         self.pieces = []
         signals = signals or {}
         for pos, lab in enumerate(labels):
@@ -461,49 +484,28 @@ class _StackedInput:
                     f"input signal for agent {lab} yields shape {probe.shape}, "
                     f"expected ({width},)")
             if isinstance(sig, ConstantInput):
-                self.const[sl] = probe
+                amp[sl], phase[sl] = probe, math.pi / 2.0
             elif isinstance(sig, SinusoidInput):
-                self.amp[sl] = np.asarray(sig.amplitude, float)
-                self.freq[sl] = sig.frequency
-                self.phase[sl] = np.asarray(sig.phase, float)
+                amp[sl] = np.asarray(sig.amplitude, float)
+                freq[sl] = sig.frequency
+                phase[sl] = np.asarray(sig.phase, float)
             else:
                 self.pieces.append((sl, sig))
-
-
-class _SegmentMap:
-    """One RK4 step of a segment as a single matrix.
-
-    The stepped vector is y = [z; s; e].  s holds [sin(omega t + phi);
-    cos(omega t + phi)] of every sinusoid channel, then a constant 1 when
-    a channel is constant; its rows of ``step`` rotate it by omega dt, which
-    is exact, so these inputs at t, t + dt/2 and t + dt are columns of the
-    same matvec.  e holds the per-step values: the noise draws [w; v] of
-    the active families, then the piecewise channels at t, at t + dt/2 and
-    at t + dt.  One step is y[:len(step)] += step @ y.
-    """
-
-    def __init__(self, model, gains, inputs: _StackedInput, noise: NoiseSpec, z, t0, dt):
-        m_mat, g_u, g_w, g_v = obs_mod.closed_loop_matrices(model, gains)
         dim = len(z)
         families = [(g_fam, bound) for g_fam, bound in ((g_w, noise.process),
                                                         (g_v, noise.measurement))
                     if bound > 0]
         self.bounds = np.repeat([bound for _, bound in families],
                                 [g_fam.shape[1] for g_fam, _ in families])
-        sin_ch = np.flatnonzero(inputs.amp)
-        const_on = bool(np.any(inputs.const != 0.0))
-        self.pieces = inputs.pieces
+        sin_ch = np.flatnonzero(amp)
         pw_ch = [c for sl, _ in self.pieces for c in range(sl.start, sl.stop)]
-        # input columns in order: sinusoid channels, piecewise channels, the
-        # constant channels summed, then the active noise channels
-        cols = [g_u[:, sin_ch], g_u[:, pw_ch]]
-        if const_on:
-            cols.append(g_u @ inputs.const[:, None])
-        g = np.hstack(cols + [g_fam for g_fam, _ in families])
+        # input columns in order: sinusoid channels, piecewise channels, then
+        # the active noise channels
+        g = np.hstack([g_u[:, sin_ch], g_u[:, pw_ch]] + [g_fam for g_fam, _ in families])
         d, g0, g_half, g1, psi = rk4_step_map(m_mat, dt, g)
         del m_mat
         n_s, n_pw, n_noise = len(sin_ch), len(pw_ch), len(self.bounds)
-        rows = dim + 2 * n_s + const_on
+        rows = dim + 2 * n_s
         width = rows + n_noise + 3 * n_pw
         if width == dim:
             self.step = d
@@ -512,30 +514,25 @@ class _SegmentMap:
             self.step[:dim, :dim] = d
         del d
         step, z_rows = self.step, slice(0, dim)
-        s_sin, s_cos = slice(dim, dim + 2 * n_s, 2), slice(dim + 1, dim + 2 * n_s, 2)
+        s_sin, s_cos = slice(dim, rows, 2), slice(dim + 1, rows, 2)
         # u_c(t + tau) = a_c (cos(omega tau) s_sin + sin(omega tau) s_cos)
-        amp = inputs.amp[sin_ch]
-        wt = np.outer(inputs.freq[sin_ch], (0.0, dt / 2.0, dt))
+        amp = amp[sin_ch]
+        wt = np.outer(freq[sin_ch], (0.0, dt / 2.0, dt))
         for stage, gam in enumerate((g0, g_half, g1)):
             step[z_rows, s_sin] += gam[:, :n_s] * amp * np.cos(wt[:, stage])
             step[z_rows, s_cos] += gam[:, :n_s] * amp * np.sin(wt[:, stage])
             first = rows + n_noise + stage * n_pw
             step[z_rows, first:first + n_pw] = gam[:, n_s:n_s + n_pw]
-        for r_sin, wh in zip(range(dim, dim + 2 * n_s, 2), wt[:, 2]):
+        for r_sin, wh in zip(range(dim, rows, 2), wt[:, 2]):
             step[r_sin, r_sin] = step[r_sin + 1, r_sin + 1] = -2.0 * math.sin(wh / 2.0) ** 2
             step[r_sin, r_sin + 1] = math.sin(wh)
             step[r_sin + 1, r_sin] = -math.sin(wh)
-        if const_on:
-            c = n_s + n_pw
-            step[z_rows, rows - 1] = g0[:, c] + g_half[:, c] + g1[:, c]
         step[z_rows, rows:rows + n_noise] = psi[:, g.shape[1] - n_noise:]
         self.y = np.zeros(width)
         self.y[z_rows] = z
-        theta = inputs.freq[sin_ch] * t0 + inputs.phase[sin_ch]
+        theta = freq[sin_ch] * t0 + phase[sin_ch]
         self.y[s_sin] = np.sin(theta)
         self.y[s_cos] = np.cos(theta)
-        if const_on:
-            self.y[rows - 1] = 1.0
         self.dt = dt
 
     def forcing(self, rng, k0, steps):
@@ -579,7 +576,7 @@ def _all_labels(cfg: ScenarioConfig):
     for event in cfg.events:
         if isinstance(event, JoinEvent):
             labels.add(event.label)
-            dims[event.label] = np.atleast_2d(np.asarray(event.a_block, float)).shape[0]
+            dims[event.label] = event.a_block.shape[0]
     ordered = tuple(sorted(labels))
     return ordered, dims
 
@@ -690,8 +687,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
         # is rerun step by step to name its first non-finite step.  Overflow in
         # building or stepping the map is reported as that, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            seg = _SegmentMap(model, gains, _StackedInput(model, labels, cfg.inputs),
-                              cfg.noise, z, seg_start * cfg.dt, cfg.dt)
+            seg = _SegmentMap(model, gains, labels, cfg.inputs, cfg.noise, z,
+                              seg_start * cfg.dt, cfg.dt)
             y, dim = seg.y, len(z)
             for k0, k1 in zip(stops, stops[1:]):
                 rec[rec_pos[k0]][at] = y[:dim].reshape(model.m + 2, model.n)
@@ -961,19 +958,17 @@ def event_to_json(event) -> dict:
     if isinstance(event, JoinEvent):
         out = {"time": event.time, "join": {
             "label": event.label,
-            "A": np.asarray(event.a_block, float).tolist(),
-            "C": np.asarray(event.c_block, float).tolist(),
-            "state": list(event.initial_state),
-            "state_couplings": [[i, j, np.asarray(b, float).tolist()]
-                                for i, j, b in event.state_couplings],
-            "output_couplings": [[i, j, np.asarray(b, float).tolist()]
-                                 for i, j, b in event.output_couplings],
+            "A": event.a_block.tolist(),
+            "C": event.c_block.tolist(),
+            "state": event.initial_state.tolist(),
+            "state_couplings": [[i, j, b.tolist()] for i, j, b in event.state_couplings],
+            "output_couplings": [[i, j, b.tolist()] for i, j, b in event.output_couplings],
             "communication": [list(e) for e in event.communication],
         }}
         if event.b_block is not None:
-            out["join"]["B"] = np.asarray(event.b_block, float).tolist()
+            out["join"]["B"] = event.b_block.tolist()
         if event.luenberger is not None:
-            out["join"]["luenberger"] = np.asarray(event.luenberger, float).tolist()
+            out["join"]["luenberger"] = event.luenberger.tolist()
         return out
     if isinstance(event, LeaveEvent):
         out = {"time": event.time, "leave": {"label": event.label}}
@@ -983,27 +978,31 @@ def event_to_json(event) -> dict:
     raise TypeError(f"unknown event {event!r}")
 
 
+def _labelled(triples, what):
+    """The (i, j, x) triples of a file, with i and j integer labels."""
+    return tuple((as_int(i, what), as_int(j, what), x) for i, j, x in triples)
+
+
+def _comm_from_json(edges):
+    return tuple((s, d, float(w)) for s, d, w in _labelled(edges, "communication endpoint"))
+
+
 def event_from_json(obj: dict):
     if "join" in obj:
         spec = obj["join"]
         return JoinEvent(
-            time=float(obj["time"]), label=int(spec["label"]),
-            a_block=spec["A"], c_block=spec["C"], initial_state=tuple(spec["state"]),
+            time=float(obj["time"]), label=as_int(spec["label"], "join label"),
+            a_block=spec["A"], c_block=spec["C"], initial_state=spec["state"],
             b_block=spec.get("B"),
-            state_couplings=tuple((int(i), int(j), b)
-                                  for i, j, b in spec.get("state_couplings", [])),
-            output_couplings=tuple((int(i), int(j), b)
-                                   for i, j, b in spec.get("output_couplings", [])),
-            communication=tuple((int(s), int(d), float(w))
-                                for s, d, w in spec.get("communication", [])),
+            state_couplings=_labelled(spec.get("state_couplings", []), "coupling label"),
+            output_couplings=_labelled(spec.get("output_couplings", []), "coupling label"),
+            communication=_comm_from_json(spec.get("communication", [])),
             luenberger=spec.get("luenberger"))
     if "leave" in obj:
         spec = obj["leave"]
         comm = spec.get("communication")
-        if comm is not None:
-            comm = tuple((int(s), int(d), float(w)) for s, d, w in comm)
-        return LeaveEvent(time=float(obj["time"]), label=int(spec["label"]),
-                          communication=comm)
+        return LeaveEvent(time=float(obj["time"]), label=as_int(spec["label"], "leave label"),
+                          communication=None if comm is None else _comm_from_json(comm))
     raise ValueError("event object needs a 'join' or 'leave' section")
 
 
@@ -1039,8 +1038,8 @@ def run_settings_from_json(obj: dict) -> dict:
         noise=NoiseSpec(process=float(noise.get("process", 0.0)),
                         measurement=float(noise.get("measurement", 0.0))),
         t_end=float(obj["t_end"]), dt=float(obj["dt"]),
-        seed=int(obj.get("seed", 0)),
-        record_every=int(obj.get("record_every", 1)))
+        seed=as_int(obj.get("seed", 0), "seed"),
+        record_every=as_int(obj.get("record_every", 1), "record_every"))
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:

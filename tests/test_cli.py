@@ -9,7 +9,8 @@ import pytest
 from masobs import cli
 from masobs.mas import model_to_json, save_model
 from masobs.scenarios import (build_experiment, coupled_triple_model,
-                              coupled_triple_scenario, ring_sensing_graph, RING_IDS)
+                              coupled_triple_scenario, plugin_join_scenario,
+                              ring_sensing_graph, RING_IDS)
 from masobs.sim import read_trace_csv, save_scenario, scenario_to_json
 
 
@@ -402,9 +403,36 @@ class TestMalformedInput:
         pytest.param("gains", "localization", None, None, 0, "selected coupling gain: 1",
                      id="gains-localization-scenario"),
         pytest.param("check", "sensing", "ids", {"1": "a"}, 2,
-                     "FAIL structure: invalid literal for int()", id="check-ids-not-integers"),
+                     "FAIL structure: id of agent 1 must be an integer, got 'a'",
+                     id="check-ids-not-integers"),
         pytest.param("run", "localization", "initial_postions", [[0, 0]] * 6, 1,
                      "unknown top-level key 'initial_postions'", id="run-unknown-key"),
+        pytest.param("check", "sensing", "agents", 6.5, 2,
+                     "FAIL structure: agents must be an integer, got 6.5",
+                     id="check-agents-fraction"),
+        pytest.param("dagc", "sensing", "agents", 1e308, 1,
+                     "agents must be an integer, got 1e+308", id="dagc-agents-huge-float"),
+        pytest.param("dagc", "sensing", "ids.1", 5.7, 1,
+                     "id of agent 1 must be an integer, got 5.7", id="dagc-id-fraction"),
+        pytest.param("dagc", "sensing", "relative_edges.0", [2, 1.5], 1,
+                     "edge endpoint must be an integer, got 1.5", id="dagc-edge-fraction"),
+        pytest.param("check", "sensing", "anchors.0", 2.5, 2,
+                     "FAIL structure: anchor must be an integer, got 2.5",
+                     id="check-anchor-fraction"),
+        pytest.param("run", "localization", "seed", 1.5, 1,
+                     "seed must be an integer, got 1.5", id="run-seed-fraction"),
+        pytest.param("run", "localization", "seed", True, 1,
+                     "seed must be an integer, got True", id="run-seed-bool"),
+        pytest.param("run", "mas", "record_every", 7.5, 1,
+                     "record_every must be an integer, got 7.5", id="run-record-every-fraction"),
+        pytest.param("run", "localization", "h", 2.5, 1,
+                     "h must be an integer, got 2.5", id="run-h-fraction"),
+        pytest.param("run", "join", "events.0.join.label", 4.5, 1,
+                     "join label must be an integer, got 4.5", id="run-join-label-fraction"),
+        pytest.param("check", "mas", "model.m", 3.0, 2,
+                     "FAIL structure: m must be an integer, got 3.0", id="check-m-float"),
+        pytest.param("check", "mas", "model.communication.nodes", True, 2,
+                     "FAIL structure: nodes must be an integer, got True", id="check-nodes-bool"),
         pytest.param("check", "localization", "initial_postions", [[0, 0]] * 6, 2,
                      "FAIL structure: unknown top-level key 'initial_postions'",
                      id="check-unknown-key"),
@@ -413,6 +441,8 @@ class TestMalformedInput:
         """The entry at dotted ``path`` of a small ``kind`` file is set to
         ``value`` (``path`` None: the whole file is ``value``, if given)."""
         payload = {"mas": lambda: scenario_to_json(coupled_triple_scenario(t_end=1.0)),
+                   "join": lambda: scenario_to_json(plugin_join_scenario(
+                       mu=10, t_end=0.3, dt=1e-3, event_time=0.1)),
                    "localization": lambda: _ring_localization_payload("single"),
                    "sensing": _ring_sensing_payload,
                    "unreachable": lambda: _malformed_model("unreachable-agent")}[kind]()

@@ -79,6 +79,34 @@ class TestStack:
             )
 
 
+class TestDerivedGraphs:
+    def test_edges_are_the_coupling_keys(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            model = random_mas_model(rng)
+            for graph, blocks in ((model.dynamics_graph, model.a_blocks),
+                                  (model.sensing_graph, model.c_blocks)):
+                assert graph.node_count == model.m
+                assert set(graph.edges) == {(j, i) for i, j in blocks if i != j}
+
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_communication_graph_of_wrong_size(self, nodes):
+        with pytest.raises(DimensionError):
+            MasModel.build(
+                a_diag=[[[0.5]], [[0.4]], [[0.3]]], c_diag=[[[1.0]]] * 3,
+                communication=DirectedGraph.from_edges(
+                    nodes, [(i, i % nodes + 1) for i in range(1, nodes + 1)]),
+                a_couplings={(2, 1): [[1.0]], (3, 2): [[1.0]]})
+
+    def test_zero_coupling_adds_no_edge(self):
+        model = MasModel.build(
+            a_diag=[[[0.5]], [[0.4]]], c_diag=[[[1.0]]] * 2,
+            communication=DirectedGraph.from_edges(2, [(1, 2), (2, 1)]),
+            a_couplings={(2, 1): [[0.0]]}, c_couplings={(2, 1): [[1.0]]})
+        assert model.dynamics_graph.edges == frozenset()
+        assert model.sensing_graph.edges == frozenset({(1, 2)})
+
+
 class TestNodeObservability:
     def test_triple_agents_observable(self):
         assert check_node_observability(coupled_triple_model()) == [True, True, True]

@@ -587,6 +587,23 @@ class TestScenarioSerialization:
         assert again.events[0].label == 4
         assert again.events[0].communication == cfg.events[0].communication
 
+    @pytest.mark.parametrize("key, value, error", [
+        pytest.param("C", [[1.0, "x"], [0.0, 1.0]], ValueError, id="block-not-numeric"),
+        pytest.param("state", [0.05, 0.05, 0.05], DimensionError, id="state-wrong-length"),
+    ])
+    def test_bad_join_refused_when_read(self, key, value, error):
+        payload = scenario_to_json(plugin_join_scenario(mu=10, t_end=0.3, event_time=0.1))
+        payload["events"][0]["join"][key] = value
+        with pytest.raises(error):
+            scenario_from_json(payload)
+
+    def test_join_blocks_are_frozen_arrays(self):
+        event = plugin_join_scenario(mu=10, t_end=0.3, event_time=0.1).events[0]
+        blocks = [event.a_block, event.c_block, event.luenberger, event.initial_state,
+                  *(blk for _, _, blk in event.output_couplings)]
+        for block in blocks:
+            assert block.dtype == float and not block.flags.writeable
+
     def test_config_validation(self):
         model = coupled_triple_model()
         with pytest.raises(DomainError):
