@@ -126,7 +126,7 @@ def sensing_from_json(obj: dict):
     sg = loc_mod.SensingGraph(agent_count=as_int(sensing["agents"], "agents"),
                               relative_edges=sensing["relative_edges"],
                               anchors=sensing.get("anchors", ()))
-    return sg, ids, None if comm is None else mas_mod._graph_from_json(comm)
+    return sg, ids, None if comm is None else mas_mod._graph_from_json(comm, sg.agent_count)
 
 
 # ----------------------------------------------------------------------

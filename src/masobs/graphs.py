@@ -89,9 +89,6 @@ class DirectedGraph:
         dst_idx, src_idx = np.nonzero(self.weights)
         return frozenset((int(s) + 1, int(d) + 1) for s, d in zip(src_idx, dst_idx))
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return self.weights[dst - 1, src - 1] > 0.0
-
     def weight(self, src: int, dst: int) -> float:
         return float(self.weights[dst - 1, src - 1])
 
@@ -119,15 +116,20 @@ class DirectedGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("nodes"):
-            raise ValueError("graph text must start with a 'nodes m' header")
-        m = int(lines[0].split()[1])
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        return cls.from_edges(m, edges)
+        return cls.from_edges(*parse_text(text))
+
+
+def parse_text(text: str):
+    """``(node_count, edges)`` of a graph text: a ``nodes m`` header, then one
+    ``src dst weight`` line per edge."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("nodes"):
+        raise ValueError("graph text must start with a 'nodes m' header")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    return int(lines[0].split()[1]), edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,41 +239,6 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     return len(_reachable(g, 1, True)) == m and len(_reachable(g, 1, False)) == m
 
 
-def _find_cycle(g: DirectedGraph, candidates) -> list:
-    # iterative DFS with colouring; candidates all lie on or feed a cycle
-    color = {i: 0 for i in candidates}  # 0 white, 1 on stack, 2 done
-    parent = {}
-    for start in sorted(candidates):
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(g.out_neighbors(start)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in color:
-                    continue
-                if color[nxt] == 1:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(g.out_neighbors(nxt))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return sorted(candidates)
-
-
 def topological_ordering(g: DirectedGraph):
     """Node ordering placing every edge's source before its destination.
 
@@ -290,8 +257,14 @@ def topological_ordering(g: DirectedGraph):
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
     if len(order) < g.node_count:
-        remaining = [i for i in g.nodes if i not in set(order)]
-        cycle = _find_cycle(g, remaining)
+        # each node left has an in-neighbour among those left, so walking
+        # back along in-edges repeats a node; from there the walk is a cycle
+        left = set(g.nodes).difference(order)
+        node, walk = min(left), {}
+        while node not in walk:
+            walk[node] = len(walk)
+            node = next(j for j in g.in_neighbors(node) if j in left)
+        cycle = list(walk)[walk[node]:][::-1]
         raise CycleError(f"graph has a directed cycle: {cycle}", cycle=cycle)
     return tuple(order)
 

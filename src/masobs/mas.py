@@ -297,11 +297,17 @@ def _graph_to_json(g: DirectedGraph):
             "edges": [[src, dst, g.weight(src, dst)] for src, dst in sorted(g.edges)]}
 
 
-def _graph_from_json(obj) -> DirectedGraph:
+def _graph_from_json(obj, agents: int) -> DirectedGraph:
+    """The communication graph of a file, refused before it is allocated
+    unless it has one node per agent."""
     if "graph_file" in obj:
-        return DirectedGraph.from_text(Path(obj["graph_file"]).read_text())
-    return DirectedGraph.from_edges(graphs.as_int(obj["nodes"], "nodes"),
-                                    [tuple(e) for e in obj["edges"]])
+        nodes, edges = graphs.parse_text(Path(obj["graph_file"]).read_text())
+    else:
+        nodes = graphs.as_int(obj["nodes"], "nodes")
+        edges = [tuple(e) for e in obj["edges"]]
+    if nodes != agents:
+        raise DimensionError(f"communication graph has {nodes} nodes for {agents} agents")
+    return DirectedGraph.from_edges(nodes, edges)
 
 
 def model_to_json(mas: MasModel) -> dict:
@@ -329,7 +335,8 @@ def model_to_json(mas: MasModel) -> dict:
 
 
 def model_from_json(obj: dict) -> MasModel:
-    if len(obj["agents"]) != graphs.as_int(obj["m"], "m"):
+    m = graphs.as_int(obj["m"], "m")
+    if len(obj["agents"]) != m:
         raise DimensionError("agent list length does not match 'm'")
     a_diag = [entry["A"] for entry in obj["agents"]]
     c_diag = [entry["C"] for entry in obj["agents"]]
@@ -338,7 +345,7 @@ def model_from_json(obj: dict) -> MasModel:
     c_couplings = {(e["i"], e["j"]): e["block"] for e in obj.get("output_couplings", [])}
     model = MasModel.build(
         a_diag, c_diag,
-        communication=_graph_from_json(obj["communication"]),
+        communication=_graph_from_json(obj["communication"], m),
         b_diag=b_diag, a_couplings=a_couplings, c_couplings=c_couplings)
     # edge lists in the file are redundant but must agree with the blocks
     for key, g in (("dynamics_edges", model.dynamics_graph),

@@ -342,35 +342,32 @@ def _validate_model_for_run(model: MasModel):
 # join / leave editing
 # ----------------------------------------------------------------------
 
-def _label_blocks(model: MasModel, labels):
-    """Re-key a model's blocks by agent label."""
-    index = {pos + 1: lab for pos, lab in enumerate(labels)}
-    a_diag = {index[i]: model.a_blocks[(i, i)] for i in model.agents}
-    b_diag = {index[i]: model.b_blocks[i] for i in model.agents}
-    c_diag = {index[i]: model.c_blocks[(i, i)] for i in model.agents}
-    a_cpl = {(index[i], index[j]): blk for (i, j), blk in model.a_blocks.items() if i != j}
-    c_cpl = {(index[i], index[j]): blk for (i, j), blk in model.c_blocks.items() if i != j}
-    return a_diag, b_diag, c_diag, a_cpl, c_cpl
-
-
-def _build_labelled_model(labels, a_diag, b_diag, c_diag, a_cpl, c_cpl, comm_edges):
-    order = {lab: pos + 1 for pos, lab in enumerate(labels)}
-    m = len(labels)
-    gc = DirectedGraph.from_edges(
-        m, [(order[src], order[dst], w) for src, dst, w in comm_edges])
-    return MasModel.build(
-        [a_diag[lab] for lab in labels],
-        [c_diag[lab] for lab in labels],
-        communication=gc,
-        b_diag=[b_diag[lab] for lab in labels],
-        a_couplings={(order[i], order[j]): blk for (i, j), blk in a_cpl.items()},
-        c_couplings={(order[i], order[j]): blk for (i, j), blk in c_cpl.items()})
-
-
-def _comm_edges_by_label(model: MasModel, labels):
-    index = {pos + 1: lab for pos, lab in enumerate(labels)}
+def _plant_by_label(model: MasModel, labels):
+    """The model's A, B and C blocks and communication edge weights, keyed
+    by agent label (agent k of the model is ``labels[k - 1]``)."""
+    lab = dict(zip(model.agents, labels))
     gc = model.communication_graph
-    return tuple((index[src], index[dst], gc.weight(src, dst)) for src, dst in sorted(gc.edges))
+    return ({(lab[i], lab[j]): blk for (i, j), blk in model.a_blocks.items()},
+            {lab[i]: blk for i, blk in model.b_blocks.items()},
+            {(lab[i], lab[j]): blk for (i, j), blk in model.c_blocks.items()},
+            {(lab[s], lab[d]): gc.weight(s, d) for s, d in gc.edges})
+
+
+def _model_by_label(labels, a, b, c, comm):
+    """The model whose agent k is ``labels[k - 1]``, from label-keyed blocks
+    and edges; DomainError if a coupling or edge names another label."""
+    unknown = sorted({lab for key in (*a, *c, *comm) for lab in key} - set(labels))
+    if unknown:
+        raise DomainError(f"couplings or communication edges name agent labels "
+                          f"{unknown}, which are not present")
+    agent = {lab: pos + 1 for pos, lab in enumerate(labels)}
+    return MasModel.build(
+        [a[lab, lab] for lab in labels], [c[lab, lab] for lab in labels],
+        communication=DirectedGraph.from_edges(
+            len(labels), [(agent[s], agent[d], w) for (s, d), w in comm.items()]),
+        b_diag=[b[lab] for lab in labels],
+        a_couplings={(agent[i], agent[j]): blk for (i, j), blk in a.items() if i != j},
+        c_couplings={(agent[i], agent[j]): blk for (i, j), blk in c.items() if i != j})
 
 
 def _columns(slices):
@@ -381,66 +378,47 @@ def _columns(slices):
 def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, labels):
     """Apply one join/leave event to the segment state ``z``.
 
-    Returns (model', policy', gains', z', labels', gain_report).  The rows
+    Returns (model', policy', gains', z', labels', gain_report).  The event
+    edits the plant keyed by label and the model is rebuilt from it.  The rows
     and column blocks of every surviving agent are copied from z into a
     zero (m'+2) x n' array (see :func:`observer.closed_loop_matrices`), so
     survivors keep their estimates; a joining agent's plant block is its
     ``initial_state`` and every estimate of it, or by it, starts at zero.
-    Gains are re-derived from the policy on the edited model.
+    Gains are re-derived from the policy on the edited model; a join adds
+    its own Luenberger gain to an explicit policy, and a leave keeps the
+    departed label's gain there, unused until the label rejoins.
     """
     labels = tuple(labels)
-    a_diag, b_diag, c_diag, a_cpl, c_cpl = _label_blocks(model, labels)
+    a, b, c, comm = _plant_by_label(model, labels)
     if isinstance(event, JoinEvent):
         if event.label in labels:
             raise DomainError(f"agent label {event.label} already present")
         if not event.communication:
             raise DomainError("a join event must carry the new communication edges")
         new_labels = tuple(sorted(labels + (event.label,)))
-        a_diag[event.label] = event.a_block
-        c_diag[event.label] = event.c_block
-        b_diag[event.label] = event.b_block
-        for i, j, blk in event.state_couplings:
-            a_cpl[(i, j)] = blk
-        for i, j, blk in event.output_couplings:
-            c_cpl[(i, j)] = blk
-        new_model = _build_labelled_model(new_labels, a_diag, b_diag, c_diag,
-                                          a_cpl, c_cpl, event.communication)
-        policy_out = policy
-        if isinstance(policy.luenberger, dict):
-            if event.luenberger is None and event.label not in policy.luenberger:
-                raise DomainError("explicit gain policy needs a Luenberger gain "
-                                  "for the joining agent")
-            updated = dict(policy.luenberger)
-            if event.luenberger is not None:
-                updated[event.label] = event.luenberger
-            policy_out = replace(policy, luenberger=updated)
+        a[event.label, event.label] = event.a_block
+        b[event.label] = event.b_block
+        c[event.label, event.label] = event.c_block
+        a.update(((i, j), blk) for i, j, blk in event.state_couplings)
+        c.update(((i, j), blk) for i, j, blk in event.output_couplings)
+        if isinstance(policy.luenberger, dict) and event.luenberger is not None:
+            policy = replace(policy, luenberger={**policy.luenberger,
+                                                 event.label: event.luenberger})
     elif isinstance(event, LeaveEvent):
         if event.label not in labels:
             raise DomainError(f"agent label {event.label} is not present")
         new_labels = tuple(lab for lab in labels if lab != event.label)
         if not new_labels:
             raise DomainError("cannot remove the last agent")
-        for store in (a_diag, b_diag, c_diag):
-            store.pop(event.label)
-        a_cpl = {k: v for k, v in a_cpl.items() if event.label not in k}
-        c_cpl = {k: v for k, v in c_cpl.items() if event.label not in k}
-        if event.communication is not None:
-            comm = event.communication
-        else:
-            comm = tuple((src, dst, w)
-                         for src, dst, w in _comm_edges_by_label(model, labels)
-                         if event.label not in (src, dst))
-        new_model = _build_labelled_model(new_labels, a_diag, b_diag, c_diag,
-                                          a_cpl, c_cpl, comm)
-        policy_out = policy
-        if isinstance(policy.luenberger, dict) and event.label in policy.luenberger:
-            updated = dict(policy.luenberger)
-            updated.pop(event.label)
-            policy_out = replace(policy, luenberger=updated)
+        a, c, comm = ({k: v for k, v in d.items() if event.label not in k}
+                      for d in (a, c, comm))
     else:
         raise TypeError(f"unknown event {event!r}")
+    if event.communication is not None:
+        comm = {(s, d): w for s, d, w in event.communication}
+    new_model = _model_by_label(new_labels, a, b, c, comm)
     _validate_model_for_run(new_model)
-    new_gains, report = resolve_gains(new_model, policy_out, new_labels)
+    new_gains, report = resolve_gains(new_model, policy, new_labels)
     keep = [lab for lab in new_labels if lab in labels]
     old = np.ix_([0, 1] + [2 + labels.index(lab) for lab in keep],
                  _columns(model.state_slice(labels.index(lab) + 1) for lab in keep))
@@ -450,7 +428,7 @@ def apply_event(model: MasModel, policy: GainPolicy, z: np.ndarray, event, label
     new_z[new] = z.reshape(model.m + 2, model.n)[old]
     if isinstance(event, JoinEvent):
         new_z[0, new_model.state_slice(new_labels.index(event.label) + 1)] = event.initial_state
-    return new_model, policy_out, new_gains, new_z.ravel(), new_labels, report
+    return new_model, policy, new_gains, new_z.ravel(), new_labels, report
 
 
 class _SegmentMap:
@@ -571,14 +549,16 @@ class _SegmentMap:
 # ----------------------------------------------------------------------
 
 def _all_labels(cfg: ScenarioConfig):
-    labels = set(range(1, cfg.model.m + 1))
-    dims = {i: cfg.model.state_dims[i - 1] for i in labels}
+    """Every label of the run, sorted, and each one's state dimension, which
+    a label keeps however often it leaves and rejoins."""
+    dims = dict(zip(cfg.model.agents, cfg.model.state_dims))
     for event in cfg.events:
         if isinstance(event, JoinEvent):
-            labels.add(event.label)
-            dims[event.label] = event.a_block.shape[0]
-    ordered = tuple(sorted(labels))
-    return ordered, dims
+            dim = dims.setdefault(event.label, event.a_block.shape[0])
+            if dim != event.a_block.shape[0]:
+                raise DomainError(f"agent label {event.label} joins with state dimension "
+                                  f"{event.a_block.shape[0]}, but has dimension {dim}")
+    return tuple(sorted(dims)), dims
 
 
 def _gain_snapshot(t, labels, gains: ObserverGains, report):

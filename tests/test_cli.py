@@ -436,6 +436,18 @@ class TestMalformedInput:
         pytest.param("check", "localization", "initial_postions", [[0, 0]] * 6, 2,
                      "FAIL structure: unknown top-level key 'initial_postions'",
                      id="check-unknown-key"),
+        pytest.param("check", "mas", "model.communication.nodes", 100_000_000, 2,
+                     "FAIL structure: communication graph has 100000000 nodes for 3 agents",
+                     id="check-nodes-huge"),
+        pytest.param("gains", "mas", "model.communication.nodes", 100_000_000, 1,
+                     "error: cannot parse model: communication graph has 100000000 nodes",
+                     id="gains-nodes-huge"),
+        pytest.param("run", "mas", "model.communication.nodes", 100_000_000, 1,
+                     "communication graph has 100000000 nodes for 3 agents",
+                     id="run-nodes-huge"),
+        pytest.param("dagc", "localization", "communication.nodes", 100_000_000, 1,
+                     "communication graph has 100000000 nodes for 6 agents",
+                     id="dagc-nodes-huge"),
     ])
     def test_no_traceback(self, tmp_path, capsys, command, kind, path, value, code, expect):
         """The entry at dotted ``path`` of a small ``kind`` file is set to
@@ -544,7 +556,10 @@ class TestDagc:
 class TestReproduce:
     @pytest.mark.parametrize("key, check", [
         pytest.param("5A-basic", "PASS final pair errors below 1e-3", id="5A-basic"),
+        pytest.param("5A-noise", "PASS error within disturbance bound", id="5A-noise"),
         pytest.param("5A-join", "PASS post-event stacked error below 1e-2", id="5A-join"),
+        pytest.param("5A-leave", "PASS post-event stacked error below 1e-2", id="5A-leave"),
+        pytest.param("5B-known", "PASS final position errors below 1e-3", id="5B-known"),
         pytest.param("5B-unknown", "PASS error within unknown-input bound", id="5B-unknown"),
     ])
     def test_experiment_bundle_replays(self, tmp_path, capsys, key, check):

@@ -104,6 +104,21 @@ class TestTopologicalOrdering:
             topological_ordering(g)
         assert excinfo.value.cycle is not None
 
+    def test_cycle_witness_is_a_cycle_of_the_graph(self):
+        rng = np.random.default_rng(11)
+        cyclic = 0
+        for _ in range(300):
+            g = random_digraph(rng, int(rng.integers(2, 10)), float(rng.uniform(0.1, 0.5)))
+            try:
+                topological_ordering(g)
+            except CycleError as exc:
+                cycle = exc.cycle
+                cyclic += 1
+                assert len(cycle) >= 2 and len(set(cycle)) == len(cycle), cycle
+                closing = zip(cycle, cycle[1:] + cycle[:1])
+                assert all(edge in g.edges for edge in closing), (cycle, g.edges)
+        assert cyclic > 100
+
     def test_ordering_respects_every_edge_on_random_dags(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

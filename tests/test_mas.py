@@ -213,3 +213,15 @@ class TestModelFiles:
         payload["communication"] = {"graph_file": str(graph_path)}
         again = model_from_json(payload)
         assert again.communication_graph.edges == model.communication_graph.edges
+
+    @pytest.mark.parametrize("by_file", [False, True], ids=["inline", "graph-file"])
+    def test_communication_node_count_must_equal_m(self, tmp_path, by_file):
+        # refused before a weight matrix of that size is allocated
+        payload = model_to_json(coupled_triple_model())
+        payload["communication"]["nodes"] = 100_000_000
+        if by_file:
+            graph_path = tmp_path / "gc.txt"
+            graph_path.write_text("nodes 100000000\n1 2 1.0\n")
+            payload["communication"] = {"graph_file": str(graph_path)}
+        with pytest.raises(DimensionError, match="100000000 nodes for 3 agents"):
+            model_from_json(payload)

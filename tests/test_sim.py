@@ -425,6 +425,59 @@ class TestEvents:
         assert labels == (1, 3)
         assert new_gains.mu != gains.mu  # re-evaluated on the smaller graph
 
+    @pytest.mark.parametrize("change", [
+        pytest.param({"communication": ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+                                        (4, 1, 1.0))}, id="join-communication"),
+        pytest.param({"output_couplings": ((4, 5, np.eye(2)),)}, id="join-coupling"),
+        pytest.param({"state_couplings": ((5, 1, np.eye(2)),)}, id="join-state-coupling"),
+    ])
+    def test_join_naming_an_absent_label_rejected(self, change):
+        cfg = plugin_join_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        join = replace(cfg.events[0], **change)
+        z = np.zeros((cfg.model.m + 2) * cfg.model.n)
+        with pytest.raises(DomainError, match=r"\[5\]"):
+            apply_event(cfg.model, cfg.policy, z, join, (1, 2, 3))
+
+    def test_leave_naming_the_departed_label_rejected(self):
+        cfg = plugin_leave_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        leave = replace(cfg.events[0], communication=((1, 3, 1.0), (3, 2, 1.0), (3, 1, 1.0)))
+        z = np.zeros((cfg.model.m + 2) * cfg.model.n)
+        with pytest.raises(DomainError, match=r"\[2\]"):
+            apply_event(cfg.model, cfg.policy, z, leave, (1, 2, 3))
+
+    def test_join_without_a_gain_under_explicit_policy_rejected(self):
+        cfg = plugin_join_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        join = replace(cfg.events[0], luenberger=None)
+        z = np.zeros((cfg.model.m + 2) * cfg.model.n)
+        with pytest.raises(DomainError, match=r"lacks Luenberger gains for \[4\]"):
+            apply_event(cfg.model, cfg.policy, z, join, (1, 2, 3))
+
+    def _rejoin(self, a_block, c_block, initial_state, coupling):
+        """Agent 2 leaves at t = 0.1 and rejoins at t = 0.2 without a gain."""
+        cfg = plugin_leave_scenario(mu=10, t_end=0.3, dt=1e-3, event_time=0.1)
+        join = JoinEvent(time=0.2, label=2, a_block=a_block, c_block=c_block,
+                         initial_state=initial_state,
+                         output_couplings=((2, 1, coupling),),
+                         communication=((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)))
+        return replace(cfg, events=cfg.events + (join,))
+
+    def test_rejoin_keeps_the_policy_gain(self):
+        base = plugin_base_model()
+        cfg = self._rejoin(base.a_blocks[(2, 2)], base.c_blocks[(2, 2)], (0.05, 0.0),
+                           base.c_blocks[(2, 1)])
+        trace = run_scenario(cfg)
+        assert [snap["labels"] for snap in trace.gain_log] == [[1, 2, 3], [1, 3], [1, 2, 3]]
+        assert trace.gain_log[-1]["luenberger"]["2"] == \
+            np.asarray(cfg.policy.luenberger[2], float).tolist()
+        assert np.all(np.isfinite(trace.total_error))
+
+    def test_rejoin_with_another_state_dimension_rejected(self, monkeypatch):
+        cfg = self._rejoin([[0.5]], [[1.0]], (0.0,), [[1.0, 0.0]])
+        monkeypatch.setattr(sim_mod, "_SegmentMap", None)  # no step may be taken
+        with pytest.raises(DomainError, match="agent label 2 joins with state dimension 1, "
+                                              "but has dimension 2"):
+            run_scenario(cfg)
+
     @pytest.mark.parametrize("make", [plugin_join_scenario, plugin_leave_scenario],
                              ids=["join", "leave"])
     def test_event_carries_survivors_and_zero_fills_the_rest(self, make):
