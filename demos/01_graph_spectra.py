@@ -9,7 +9,7 @@ connectivity into a sign condition on eigenvalues.
 
 import numpy as np
 
-from masobs.graphs import (DirectedGraph, augment, grounded_blocks,
+from masobs.graphs import (DirectedGraph, augment, grounded_partition,
                            has_spanning_tree, is_strongly_connected, laplacian)
 
 # A directed ring can route information from any node to any other.
@@ -29,7 +29,7 @@ for name, g in [("ring", ring), ("chain", chain)]:
 # The follower block of the augmented Laplacian has eigenvalues strictly in
 # the right half plane exactly because the ring is strongly connected.
 aug = augment(ring, 2, 1.0)
-blocks = grounded_blocks(aug)
+blocks = grounded_partition(aug.weights)
 print("\nfollower block S:")
 print(blocks.s_matrix)
 print("leader column O:", blocks.o_vector)
@@ -40,6 +40,6 @@ print("eigenvalues of S:", np.round(np.linalg.eigvals(blocks.s_matrix), 4))
 # target: the leader's influence can no longer reach everyone.
 broken = DirectedGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
 worst = min(np.min(np.abs(np.linalg.eigvals(
-    grounded_blocks(augment(broken, j, 1.0)).s_matrix))) for j in range(1, 5))
+    grounded_partition(augment(broken, j, 1.0).weights).s_matrix))) for j in range(1, 5))
 print("\nbroken graph: smallest grounded eigenvalue modulus over targets:",
       f"{worst:.2e}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from masobs.graphs import augment, grounded_partition
 from masobs.observer import (consensus_weight_set, coupling_gain_directed,
-                             coupling_gain_global, coupling_gain_undirected,
+                             coupling_gain_undirected, design_gains,
                              grounded_spectrum_bound_directed,
                              grounded_spectrum_bound_undirected)
 from masobs.scenarios import plugin_base_model
@@ -27,9 +27,8 @@ rho = max(np.max(np.abs(np.linalg.eigvals(model.a_blocks[(i, i)])))
 print(f"largest block spectral radius: {rho:.3f}")
 
 # Topology-aware selection: evaluate the actual grounded spectra.
-weights = consensus_weight_set(model.communication_graph, "normalized-in")
-mu_global = coupling_gain_global(model, weights)
-print(f"topology-aware gain (actual spectra): {mu_global}")
+gains, _ = design_gains(model, weights="normalized-in", mu="global")
+print(f"topology-aware gain (actual spectra): {int(gains.mu)}")
 
 # Fully distributed selection: only the agent cap m_bar = 4 is known.
 print(f"undirected fallback gain: {coupling_gain_undirected(rho, 4)}")

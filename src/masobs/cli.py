@@ -19,7 +19,8 @@ from . import scenarios as scen_mod
 from . import sim as sim_mod
 from .errors import (AssumptionError, ConnectivityError, DomainError, LayerError,
                      MasobsError, NonFiniteError, UnobservableError)
-from .graphs import DirectedGraph, as_int, is_strongly_connected, topological_ordering
+from .graphs import (DirectedGraph, as_int, is_strongly_connected, refuse_unknown_keys,
+                     topological_ordering)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,8 +75,7 @@ def _reason(exc: Exception) -> str:
 # the top-level keys that each input kind reads; any other key is refused
 _RUN_KEYS = {"inputs", "noise", "t_end", "dt", "seed", "record_every"}
 _KIND_KEYS = {
-    "model": {"m", "agents", "state_couplings", "output_couplings", "dynamics_edges",
-              "sensing_edges", "communication"},
+    "model": mas_mod.MODEL_KEYS,
     "sensing": {"agents", "relative_edges", "anchors", "ids", "communication"},
     "mas": {"kind", "model", "gains", "events", "initial_state", "initial_estimates",
             *_RUN_KEYS},
@@ -97,9 +97,7 @@ def _file_kind(obj: dict) -> str:
         kind = obj.get("kind", "mas")
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown scenario kind {kind!r}")
-    unknown = sorted(set(obj) - _KIND_KEYS[kind])
-    if unknown:
-        raise ValueError(f"unknown top-level key {unknown[0]!r} in a {kind} file")
+    refuse_unknown_keys(obj, _KIND_KEYS[kind], "top-level", f" in a {kind} file")
     return kind
 
 
@@ -116,6 +114,7 @@ def sensing_from_json(obj: dict):
     scenario's ``sensing`` section and ``communication`` graph."""
     if _file_kind(obj) == "localization":
         sensing, comm = obj["sensing"], obj["communication"]
+        refuse_unknown_keys(sensing, _KIND_KEYS["sensing"] - {"communication"}, "sensing")
     else:
         sensing, comm = obj, obj.get("communication")
     ids = sensing.get("ids")

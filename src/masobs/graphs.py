@@ -29,6 +29,16 @@ def as_int(value, what: str) -> int:
     return int(value)
 
 
+def refuse_unknown_keys(obj, known, section: str, where: str = "") -> None:
+    """TypeError unless ``obj`` is a JSON object; ValueError naming
+    ``section`` and the first key of ``obj`` that is not in ``known``."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{section} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}{where}")
+
+
 def _check_weight_matrix(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
@@ -209,10 +219,6 @@ def grounded_partition(weights: np.ndarray) -> GroundedBlocks:
     w = np.asarray(weights, dtype=float)
     lap = np.diag(w.sum(axis=1)) - w
     return GroundedBlocks(o_vector=-lap[1:, 0] + 0.0, s_matrix=lap[1:, 1:])
-
-
-def grounded_blocks(ag: AugmentedGraph) -> GroundedBlocks:
-    return grounded_partition(ag.weights)
 
 
 def has_spanning_tree(g: DirectedGraph) -> bool:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import AssumptionError, DimensionError, LayerError
 from .graphs import DirectedGraph, as_int
 from .mas import MasModel, numerical_rank
-from .observer import ObserverGains, consensus_weight_set
 
 
 @dataclass(frozen=True)
@@ -337,17 +336,14 @@ def build_localization_mas(assignment: DagcAssignment, gc: DirectedGraph,
                           c_couplings=c_couplings)
 
 
-def localization_gains(model: MasModel, weight_rule="binary", gain_block=None) -> ObserverGains:
-    """Observer gains for an integrator localization model.
+def localization_luenberger(model: MasModel, gain_block=None) -> dict:
+    """Luenberger gain of each agent of an integrator localization model.
 
     ``gain_block`` is the per-measurement output-injection block (defaults
     to -I, which matches the -I own-measurement rows so that A - F C is
     A - count * I, Hurwitz for single and double integrators); an agent
     owning several measurements just repeats it.
-    The coupling gain is fixed at 1: integrators have zero spectral radius,
-    so any positive gain stabilizes once the graph conditions hold.
     """
-    weights = consensus_weight_set(model.communication_graph, weight_rule)
     luenberger = {}
     for i in model.agents:
         n_i = model.state_dims[i - 1]
@@ -357,7 +353,7 @@ def localization_gains(model: MasModel, weight_rule="binary", gain_block=None) -
             raise DimensionError(f"gain block must be {(n_i, n_i)}, got {block.shape}")
         count = p_i // n_i
         luenberger[i] = np.hstack([block] * count)
-    return ObserverGains(luenberger=luenberger, mu=1.0, weights=weights)
+    return luenberger
 
 
 # ----------------------------------------------------------------------

@@ -300,6 +300,8 @@ def _graph_to_json(g: DirectedGraph):
 def _graph_from_json(obj, agents: int) -> DirectedGraph:
     """The communication graph of a file, refused before it is allocated
     unless it has one node per agent."""
+    graphs.refuse_unknown_keys(
+        obj, ("graph_file",) if "graph_file" in obj else ("nodes", "edges"), "communication")
     if "graph_file" in obj:
         nodes, edges = graphs.parse_text(Path(obj["graph_file"]).read_text())
     else:
@@ -334,10 +336,21 @@ def model_to_json(mas: MasModel) -> dict:
     }
 
 
+# the keys of a model file or of a scenario's ``model`` section
+MODEL_KEYS = {"m", "agents", "state_couplings", "output_couplings", "dynamics_edges",
+              "sensing_edges", "communication"}
+
+
 def model_from_json(obj: dict) -> MasModel:
+    graphs.refuse_unknown_keys(obj, MODEL_KEYS, "model")
     m = graphs.as_int(obj["m"], "m")
     if len(obj["agents"]) != m:
         raise DimensionError("agent list length does not match 'm'")
+    for entry in obj["agents"]:
+        graphs.refuse_unknown_keys(entry, ("A", "B", "C"), "model agent")
+    for key in ("state_couplings", "output_couplings"):
+        for entry in obj.get(key, []):
+            graphs.refuse_unknown_keys(entry, ("i", "j", "block"), key)
     a_diag = [entry["A"] for entry in obj["agents"]]
     c_diag = [entry["C"] for entry in obj["agents"]]
     b_diag = [entry.get("B") for entry in obj["agents"]]

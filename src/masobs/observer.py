@@ -175,16 +175,6 @@ def _min_grounded_modulus(model: MasModel, weights) -> float:
     return min_mod
 
 
-def coupling_gain_global(model: MasModel, weights) -> int:
-    """Coupling gain from the actual grounded spectra of every target graph.
-
-    Evaluates max_j rho(A_jj) / min_{q,j} |eig_q(S_j)| and returns the
-    smallest integer strictly above it.
-    """
-    rho_max = max(spectral_radius(model.a_blocks[(j, j)]) for j in model.agents)
-    return _next_integer_above(rho_max / _min_grounded_modulus(model, weights))
-
-
 def coupling_bound_undirected(rho_max: float, m_bar: int) -> float:
     """The bound that :func:`coupling_gain_undirected` exceeds."""
     if rho_max < 0:
@@ -251,15 +241,12 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
                  input_mode: str = "full"):
     """Resolve a gain policy against a concrete model.
 
+    ``weights`` names a rule of :data:`WEIGHT_RULES`; ``mu="global"`` takes
+    the smallest integer above max_j rho(A_jj) / min_{q,j} |eig_q(S_j)|.
     Returns ``(gains, report)`` where the report records the bound trail
     (spectral radius, bound value, selected mu, weight rule).
     """
-    if isinstance(weights, str):
-        weight_set = consensus_weight_set(model.communication_graph, weights)
-        rule_name = weights
-    else:
-        weight_set = {j: np.asarray(w, dtype=float) for j, w in dict(weights).items()}
-        rule_name = "explicit"
+    weight_set = consensus_weight_set(model.communication_graph, weights)
     if luenberger == "auto":
         gain_map = {}
         for i in model.agents:
@@ -271,7 +258,7 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
     else:
         gain_map = {i: np.asarray(f, dtype=float) for i, f in dict(luenberger).items()}
     rho_max = max(spectral_radius(model.a_blocks[(j, j)]) for j in model.agents)
-    report = {"rho_max": rho_max, "weight_rule": rule_name, "mu_policy": str(mu)}
+    report = {"rho_max": rho_max, "weight_rule": weights, "mu_policy": str(mu)}
     if mu == "global":
         min_mod = _min_grounded_modulus(model, weight_set)
         report["min_grounded_eigenvalue"] = min_mod

@@ -11,7 +11,7 @@ the reproduce command evaluates against its trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import sim as sim_mod
 from .errors import DomainError
 from .graphs import DirectedGraph
 from .localization import (AgentKinematics, SensingGraph, build_localization_mas, dagc,
-                           localization_gains)
+                           localization_luenberger)
 from .mas import MasModel
 from .sim import (GainPolicy, JoinEvent, LeaveEvent, NoiseSpec, ScenarioConfig,
                   SinusoidInput, error_norms)
@@ -157,36 +157,42 @@ def localization_model(sensing: SensingGraph, communication: DirectedGraph, ids=
                        seed: int = 0, order: str = "single", h: int = 2,
                        weight_rule: str = "binary", gain_block=None):
     """DAGC-oriented ``sensing`` turned into an integrator MAS over
-    ``communication``, plus its gains and the orientation; agent ids are
-    drawn from ``seed`` unless ``ids`` pins them."""
+    ``communication``, plus its gain policy and the orientation; agent ids
+    are drawn from ``seed`` unless ``ids`` pins them.  The coupling gain is
+    fixed at 1: integrators have zero spectral radius, so any positive gain
+    stabilizes once the graph conditions hold."""
     assignment = dagc(sensing, ids=ids, seed=seed)
     model = build_localization_mas(assignment, communication, order=order, h=h)
-    gains = localization_gains(model, weight_rule=weight_rule, gain_block=gain_block)
-    return model, gains, assignment
+    if weight_rule not in obs_mod.WEIGHT_RULES:
+        raise ValueError(f"unknown weight rule {weight_rule!r}")
+    policy = GainPolicy(luenberger=localization_luenberger(model, gain_block),
+                        weights=weight_rule, mu=1.0)
+    return model, policy, assignment
 
 
 def localization_scenario(sensing: SensingGraph, communication: DirectedGraph, ids=None,
                           order: str = "single", h: int = 2, weight_rule: str = "binary",
                           gain_block=None, input_mode: str = "full", positions=None,
                           velocities=None, **run) -> ScenarioConfig:
-    """A run of :func:`localization_model` at coupling gain 1, the agents
-    starting at ``positions`` (and ``velocities``).  ``run`` holds the other
+    """A run of :func:`localization_model`, the agents starting at
+    ``positions`` (and ``velocities``).  ``run`` holds the other
     ScenarioConfig fields; its seed draws the ids as well as the noise."""
-    model, gains, _ = localization_model(sensing, communication, ids, run.get("seed", 0),
-                                         order, h, weight_rule, gain_block)
-    policy = GainPolicy(
-        luenberger={i: gains.luenberger[i] for i in model.agents},
-        weights=weight_rule, mu=1.0, input_mode=input_mode)
+    model, policy, _ = localization_model(sensing, communication, ids, run.get("seed", 0),
+                                          order, h, weight_rule, gain_block)
     x0 = None
     if positions is not None:
         x0 = tuple(AgentKinematics(order, h, positions, velocities).stacked_state())
-    return ScenarioConfig(model=model, policy=policy, initial_state=x0, **run)
+    return ScenarioConfig(model=model, policy=replace(policy, input_mode=input_mode),
+                          initial_state=x0, **run)
 
 
 def ring_localization_model(order: str = "single"):
     """Oriented ring sensing turned into an integrator MAS, plus its gains."""
-    return localization_model(ring_sensing_graph(), ring_communication(), RING_IDS,
-                              order=order, gain_block=_RING_GAIN_BLOCK)
+    model, policy, assignment = localization_model(
+        ring_sensing_graph(), ring_communication(), RING_IDS, order=order,
+        gain_block=_RING_GAIN_BLOCK)
+    gains, _ = sim_mod.resolve_gains(model, policy)
+    return model, gains, assignment
 
 
 def ring_localization_scenario(known_input: bool = True, t_end: float = 200.0,

@@ -30,7 +30,7 @@ from . import mas as mas_mod
 from . import observer as obs_mod
 from .errors import (AssumptionError, ConnectivityError, DimensionError,
                      DomainError, NonFiniteError)
-from .graphs import DirectedGraph, as_int, is_strongly_connected
+from .graphs import DirectedGraph, as_int, is_strongly_connected, refuse_unknown_keys
 from .mas import MasModel, check_node_observability, check_topological_consistency
 from .observer import ObserverGains
 
@@ -90,16 +90,22 @@ def signal_to_json(sig):
     raise ValueError(f"unknown signal {sig!r}")
 
 
+_SIGNAL_KEYS = {"constant": ("type", "value"),
+                "sinusoid": ("type", "amplitude", "frequency", "phase"),
+                "piecewise": ("type", "times", "values")}
+
+
 def signal_from_json(obj):
     kind = obj["type"]
+    if kind not in _SIGNAL_KEYS:
+        raise ValueError(f"unknown signal type {kind!r}")
+    refuse_unknown_keys(obj, _SIGNAL_KEYS[kind], f"{kind} input")
     if kind == "constant":
         return ConstantInput(tuple(obj["value"]))
     if kind == "sinusoid":
         return SinusoidInput(tuple(obj["amplitude"]), float(obj["frequency"]),
                              tuple(obj["phase"]))
-    if kind == "piecewise":
-        return PiecewiseInput(tuple(obj["times"]), tuple(tuple(v) for v in obj["values"]))
-    raise ValueError(f"unknown signal type {kind!r}")
+    return PiecewiseInput(tuple(obj["times"]), tuple(tuple(v) for v in obj["values"]))
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +131,8 @@ class NoiseSpec:
 class GainPolicy:
     """How to obtain observer gains for the current (possibly edited) model.
 
-    Dict-valued fields are keyed by agent label.  ``mu`` is either a number
+    ``luenberger`` is "auto" or a map keyed by agent label, ``weights`` names
+    a rule of :data:`observer.WEIGHT_RULES`, and ``mu`` is either a number
     (kept fixed across events) or one of "global", "undirected", "directed"
     (re-evaluated after every event).
     """
@@ -302,11 +309,6 @@ def rk4_step_map(m_mat, dt, g):
 # gain-policy resolution (label aware)
 # ----------------------------------------------------------------------
 
-def _map_labels_to_index(d, labels):
-    index = {lab: pos + 1 for pos, lab in enumerate(labels)}
-    return {index[lab]: v for lab, v in d.items() if lab in index}
-
-
 def resolve_gains(model: MasModel, policy: GainPolicy, labels=None):
     """Turn a label-keyed gain policy into concrete gains for ``model``."""
     labels = tuple(labels) if labels is not None else tuple(model.agents)
@@ -314,17 +316,13 @@ def resolve_gains(model: MasModel, policy: GainPolicy, labels=None):
         raise DimensionError("label list does not match the model size")
     luenberger = policy.luenberger
     if isinstance(luenberger, dict):
-        luenberger = _map_labels_to_index(luenberger, labels)
-        missing = [lab for lab in labels if (labels.index(lab) + 1) not in luenberger]
+        missing = [lab for lab in labels if lab not in luenberger]
         if missing:
             raise DomainError(f"explicit policy lacks Luenberger gains for {missing}")
-    weights = policy.weights
-    if isinstance(weights, dict):
-        weights = _map_labels_to_index(weights, labels)
-    gains, report = obs_mod.design_gains(
-        model, luenberger=luenberger, margin=policy.margin, weights=weights,
+        luenberger = {pos: luenberger[lab] for pos, lab in enumerate(labels, start=1)}
+    return obs_mod.design_gains(
+        model, luenberger=luenberger, margin=policy.margin, weights=policy.weights,
         mu=policy.mu, m_bar=policy.m_bar, input_mode=policy.input_mode)
-    return gains, report
 
 
 def _validate_model_for_run(model: MasModel):
@@ -909,29 +907,32 @@ def read_trace_csv(path):
 
 
 def policy_to_json(policy: GainPolicy) -> dict:
-    out = {"margin": policy.margin, "mu": policy.mu, "m_bar": policy.m_bar,
-           "input_mode": policy.input_mode}
-    for name in ("luenberger", "weights"):
-        value = getattr(policy, name)
-        if isinstance(value, dict):
-            value = {str(k): np.asarray(v, float).tolist() for k, v in value.items()}
-        out[name] = value
-    return out
+    luenberger = policy.luenberger
+    if isinstance(luenberger, dict):
+        luenberger = {str(k): np.asarray(v, float).tolist() for k, v in luenberger.items()}
+    return {"margin": policy.margin, "mu": policy.mu, "m_bar": policy.m_bar,
+            "input_mode": policy.input_mode, "luenberger": luenberger,
+            "weights": policy.weights}
 
 
 def policy_from_json(obj: dict) -> GainPolicy:
+    refuse_unknown_keys(obj, ("luenberger", "margin", "weights", "mu", "m_bar",
+                              "input_mode"), "gains")
     luenberger = obj.get("luenberger", "auto")
     if isinstance(luenberger, dict):
         luenberger = {int(k): np.asarray(v, float) for k, v in luenberger.items()}
     weights = obj.get("weights", "binary")
-    if isinstance(weights, dict):
-        weights = {int(k): np.asarray(v, float) for k, v in weights.items()}
+    if not (isinstance(weights, str) and weights in obs_mod.WEIGHT_RULES):
+        raise ValueError("gains.weights must name a weight rule: "
+                         + ", ".join(map(repr, obs_mod.WEIGHT_RULES)))
     margin = obj.get("margin", 1.0)
     if isinstance(margin, bool) or not isinstance(margin, (int, float)):
         raise ValueError(f"gains.margin must be a number, got {margin!r}")
+    m_bar = obj.get("m_bar")
     return GainPolicy(luenberger=luenberger, margin=margin,
                       weights=weights, mu=obj.get("mu", "global"),
-                      m_bar=obj.get("m_bar"), input_mode=obj.get("input_mode", "full"))
+                      m_bar=None if m_bar is None else as_int(m_bar, "gains.m_bar"),
+                      input_mode=obj.get("input_mode", "full"))
 
 
 def event_to_json(event) -> dict:
@@ -967,9 +968,19 @@ def _comm_from_json(edges):
     return tuple((s, d, float(w)) for s, d, w in _labelled(edges, "communication endpoint"))
 
 
+_EVENT_KEYS = {"join": ("label", "A", "B", "C", "state", "state_couplings",
+                        "output_couplings", "communication", "luenberger"),
+               "leave": ("label", "communication")}
+
+
 def event_from_json(obj: dict):
-    if "join" in obj:
-        spec = obj["join"]
+    if "join" not in obj and "leave" not in obj:
+        raise ValueError("event object needs a 'join' or 'leave' section")
+    kind = "join" if "join" in obj else "leave"
+    refuse_unknown_keys(obj, ("time", kind), "event")
+    spec = obj[kind]
+    refuse_unknown_keys(spec, _EVENT_KEYS[kind], kind)
+    if kind == "join":
         return JoinEvent(
             time=float(obj["time"]), label=as_int(spec["label"], "join label"),
             a_block=spec["A"], c_block=spec["C"], initial_state=spec["state"],
@@ -978,12 +989,9 @@ def event_from_json(obj: dict):
             output_couplings=_labelled(spec.get("output_couplings", []), "coupling label"),
             communication=_comm_from_json(spec.get("communication", [])),
             luenberger=spec.get("luenberger"))
-    if "leave" in obj:
-        spec = obj["leave"]
-        comm = spec.get("communication")
-        return LeaveEvent(time=float(obj["time"]), label=as_int(spec["label"], "leave label"),
-                          communication=None if comm is None else _comm_from_json(comm))
-    raise ValueError("event object needs a 'join' or 'leave' section")
+    comm = spec.get("communication")
+    return LeaveEvent(time=float(obj["time"]), label=as_int(spec["label"], "leave label"),
+                      communication=None if comm is None else _comm_from_json(comm))
 
 
 def scenario_to_json(cfg: ScenarioConfig) -> dict:
@@ -1013,6 +1021,7 @@ def run_settings_from_json(obj: dict) -> dict:
     if "inputs" in obj:
         inputs = {int(lab): signal_from_json(sig) for lab, sig in obj["inputs"].items()}
     noise = obj.get("noise", {})
+    refuse_unknown_keys(noise, ("process", "measurement"), "noise")
     return dict(
         inputs=inputs,
         noise=NoiseSpec(process=float(noise.get("process", 0.0)),
@@ -1027,6 +1036,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         raise ValueError(f"not a mas scenario: kind={obj.get('kind')!r}")
     initial_estimates = obj.get("initial_estimates", "zero")
     if initial_estimates != "zero":
+        refuse_unknown_keys(initial_estimates, ("xbar", "xhat"), "initial_estimates")
         initial_estimates = {part: {int(k): np.asarray(v, float) for k, v in spec.items()}
                              for part, spec in initial_estimates.items()}
     return ScenarioConfig(

@@ -10,7 +10,8 @@ from masobs import cli
 from masobs.mas import model_to_json, save_model
 from masobs.scenarios import (build_experiment, coupled_triple_model,
                               coupled_triple_scenario, plugin_join_scenario,
-                              ring_sensing_graph, RING_IDS)
+                              plugin_leave_scenario, ring_sensing_graph, RING_IDS)
+from masobs.observer import consensus_weight_set
 from masobs.sim import read_trace_csv, save_scenario, scenario_to_json
 
 
@@ -308,6 +309,11 @@ class TestUnwritableOutput:
 BAD_MODELS =("non-numeric-A", "nan-weight", "edge-out-of-range", "no-communication")
 
 
+# the binary consensus weights of the three-agent ring 1 -> 2 -> 3 -> 1
+_BINARY_WEIGHTS = {str(j): w.tolist() for j, w in consensus_weight_set(
+    coupled_triple_model().communication_graph, "binary").items()}
+
+
 def _malformed_model(bad):
     """The triple model file with one defect, or intact for ``None``; for
     "unreachable-agent", a localization scenario over the triple's
@@ -448,6 +454,38 @@ class TestMalformedInput:
         pytest.param("dagc", "localization", "communication.nodes", 100_000_000, 1,
                      "communication graph has 100000000 nodes for 6 agents",
                      id="dagc-nodes-huge"),
+        pytest.param("run", "mas", "noise.proces", 0.05, 1, "unknown noise key 'proces'",
+                     id="run-noise-key-misspelt"),
+        pytest.param("run", "mas", "gains.mu_", 3, 1, "unknown gains key 'mu_'",
+                     id="run-gains-key-misspelt"),
+        pytest.param("run", "join", "events.0.join.lable", 4, 1, "unknown join key 'lable'",
+                     id="run-join-key-misspelt"),
+        pytest.param("run", "leave", "events.0.leave.comunication", [], 1,
+                     "unknown leave key 'comunication'", id="run-leave-key-misspelt"),
+        pytest.param("run", "join", "events.0.tme", 0.1, 1, "unknown event key 'tme'",
+                     id="run-event-key-misspelt"),
+        pytest.param("run", "localization", "inputs.1.phse", [0, 0], 1,
+                     "unknown sinusoid input key 'phse'", id="run-input-key-misspelt"),
+        pytest.param("run", "mas", "initial_estimates", {"xhatt": {}}, 1,
+                     "unknown initial_estimates key 'xhatt'",
+                     id="run-initial-estimates-key-misspelt"),
+        pytest.param("check", "mas", "model.agents.0.D", [[1.0]], 2,
+                     "FAIL structure: unknown model agent key 'D'", id="check-agent-key-unknown"),
+        pytest.param("run", "mas", "model.output_couplings.0.blok", [[1.0, 1.0]], 1,
+                     "unknown output_couplings key 'blok'", id="run-coupling-key-misspelt"),
+        pytest.param("check", "mas", "model.communication.node", 3, 2,
+                     "FAIL structure: unknown communication key 'node'",
+                     id="check-communication-key-misspelt"),
+        pytest.param("check", "mas", "model.dynamics", [], 2,
+                     "FAIL structure: unknown model key 'dynamics'", id="check-model-key-unknown"),
+        pytest.param("dagc", "localization", "sensing.anchor", [2], 1,
+                     "unknown sensing key 'anchor'", id="dagc-sensing-key-misspelt"),
+        pytest.param("run", "mas", "gains.m_bar", 4.5, 1,
+                     "gains.m_bar must be an integer, got 4.5", id="run-m-bar-fraction"),
+        *[pytest.param("run", kind, "gains.weights", _BINARY_WEIGHTS, 1,
+                       "error: cannot parse scenario: gains.weights must name a weight rule: "
+                       "'binary', 'normalized-in', 'normalized-out'\n",
+                       id=f"run-weight-matrices-{kind}") for kind in ("mas", "leave")],
     ])
     def test_no_traceback(self, tmp_path, capsys, command, kind, path, value, code, expect):
         """The entry at dotted ``path`` of a small ``kind`` file is set to
@@ -455,6 +493,8 @@ class TestMalformedInput:
         payload = {"mas": lambda: scenario_to_json(coupled_triple_scenario(t_end=1.0)),
                    "join": lambda: scenario_to_json(plugin_join_scenario(
                        mu=10, t_end=0.3, dt=1e-3, event_time=0.1)),
+                   "leave": lambda: scenario_to_json(plugin_leave_scenario(
+                       mu=10, t_end=0.3, dt=1e-3, event_time=0.15)),
                    "localization": lambda: _ring_localization_payload("single"),
                    "sensing": _ring_sensing_payload,
                    "unreachable": lambda: _malformed_model("unreachable-agent")}[kind]()

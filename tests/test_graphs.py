@@ -3,7 +3,7 @@ import pytest
 
 from masobs.errors import CycleError, SymmetryError
 from masobs.graphs import (DirectedGraph, algebraic_connectivity, augment,
-                           binary_weights, grounded_blocks, has_spanning_tree,
+                           binary_weights, grounded_partition, has_spanning_tree,
                            is_strongly_connected, laplacian,
                            normalized_in_weights, normalized_out_weights,
                            topological_ordering)
@@ -169,13 +169,13 @@ class TestAugmentedGraph:
 class TestGroundedBlocks:
     def test_single_follower(self):
         ag = augment(DirectedGraph(np.zeros((1, 1))), 1, 1.0)
-        blocks = grounded_blocks(ag)
+        blocks = grounded_partition(ag.weights)
         assert np.array_equal(blocks.s_matrix, [[1.0]])
         assert np.array_equal(blocks.o_vector, [1.0])
 
     def test_two_path_values(self):
         gc = DirectedGraph.from_edges(2, [(1, 2), (2, 1)])
-        blocks = grounded_blocks(augment(gc, 1, 1.0))
+        blocks = grounded_partition(augment(gc, 1, 1.0).weights)
         assert np.array_equal(blocks.s_matrix, [[2.0, -1.0], [-1.0, 1.0]])
         eigs = np.sort(np.linalg.eigvalsh(blocks.s_matrix))
         assert np.allclose(eigs, [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])
@@ -187,7 +187,7 @@ class TestGroundedBlocks:
             g = random_digraph(rng, m, 0.4)
             j = int(rng.integers(1, m + 1))
             ag = augment(g, j, float(rng.uniform(0.2, 3.0)))
-            blocks = grounded_blocks(ag)
+            blocks = grounded_partition(ag.weights)
             assert np.allclose(blocks.s_matrix @ np.ones(m), blocks.o_vector,
                                atol=1e-12)
 
@@ -199,7 +199,7 @@ class TestGroundedBlocks:
             expected = is_strongly_connected(g)
             verdict = True
             for j in range(1, m + 1):
-                s = grounded_blocks(augment(g, j, 1.0)).s_matrix
+                s = grounded_partition(augment(g, j, 1.0).weights).s_matrix
                 if np.min(np.linalg.eigvals(s).real) <= 1e-10:
                     verdict = False
                     break

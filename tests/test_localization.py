@@ -8,7 +8,6 @@ from masobs.localization import (AgentKinematics, DagcAssignment,
                                  build_localization_mas, build_measurement_matrix,
                                  check_agent_observability,
                                  check_global_observability, dagc,
-                                 localization_gains,
                                  rank_observable_agents, rank_observable_globally,
                                  relative_rows_rank_deficient)
 from masobs.mas import (check_node_observability, check_topological_consistency,
@@ -16,7 +15,9 @@ from masobs.mas import (check_node_observability, check_topological_consistency,
 from masobs.observer import (assemble_error_dynamics, error_dim,
                              error_derivative, is_hurwitz, observer_derivative,
                              observer_state_from_errors)
-from masobs.scenarios import RING_IDS, ring_communication, ring_sensing_graph
+from masobs.scenarios import (RING_IDS, localization_model, ring_communication,
+                              ring_localization_model, ring_sensing_graph)
+from masobs.sim import resolve_gains
 from masobs.synth import random_sensing_graph
 
 
@@ -203,9 +204,7 @@ class TestAgentKinematics:
 
 class TestLocalizationObserver:
     def _ring_setup(self):
-        assignment = dagc(ring_sensing_graph(), ids=RING_IDS)
-        model = build_localization_mas(assignment, ring_communication())
-        gains = localization_gains(model, gain_block=[[-1.0, 0.0], [0.0, -0.5]])
+        model, gains, _ = ring_localization_model()
         return model, gains
 
     def test_gains_stabilize(self):
@@ -233,10 +232,10 @@ class TestLocalizationObserver:
 
     def test_disconnected_communication_breaks_stability(self):
         # negating the communication condition leaves a zero consensus mode
-        assignment = dagc(ring_sensing_graph(), ids=RING_IDS)
         weak = DirectedGraph.from_edges(6, [(i, i % 6 + 1) for i in range(1, 6)])
-        model = build_localization_mas(assignment, weak)
-        gains = localization_gains(model, gain_block=[[-1.0, 0.0], [0.0, -0.5]])
+        model, policy, _ = localization_model(ring_sensing_graph(), weak, RING_IDS,
+                                              gain_block=[[-1.0, 0.0], [0.0, -0.5]])
+        gains, _ = resolve_gains(model, policy)
         assert not is_hurwitz(assemble_error_dynamics(model, gains).r)
 
     def test_source_agent_admits_no_stabilizing_gain(self):

@@ -8,8 +8,7 @@ from masobs.mas import (MasModel, check_topological_consistency,
                         plant_derivative, plant_output)
 from masobs.observer import (ObserverGains, assemble_error_dynamics,
                              closed_loop_matrices, consensus_weight_set,
-                             coupling_gain_directed, coupling_gain_global,
-                             coupling_gain_undirected,
+                             coupling_gain_directed, coupling_gain_undirected,
                              design_gains, design_luenberger_gain,
                              error_derivative, error_dim,
                              error_disturbance_matrices, error_vector,
@@ -98,22 +97,21 @@ class TestLuenbergerDesign:
 
 class TestCouplingGainFormulas:
     def test_global_single_agent(self):
-        model = _single_agent_model(0.3)
-        weights = consensus_weight_set(model.communication_graph, "binary")
-        assert coupling_gain_global(model, weights) == 1
+        gains, _ = design_gains(_single_agent_model(0.3), weights="binary", mu="global")
+        assert gains.mu == 1
 
     def test_global_on_triple_model_stabilizes(self):
         model = coupled_triple_model()
-        weights = consensus_weight_set(model.communication_graph, "binary")
-        mu = coupling_gain_global(model, weights)
-        gains, _ = design_gains(model, weights="binary", mu=float(mu))
+        gains, _ = design_gains(model, weights="binary", mu="global")
         assert is_hurwitz(assemble_error_dynamics(model, gains).r)
 
     def test_global_report_matches_formula(self):
         model = coupled_triple_model()
         gains, report = design_gains(model, weights="binary", mu="global")
         weights = consensus_weight_set(model.communication_graph, "binary")
-        assert gains.mu == coupling_gain_global(model, weights)
+        assert report["rho_max"] == max(np.max(np.abs(np.linalg.eigvals(model.a_blocks[j, j])))
+                                        for j in model.agents)
+        assert gains.mu == np.floor(report["mu_bound"]) + 1
         assert report["mu_bound"] == report["rho_max"] / report["min_grounded_eigenvalue"]
         assert report["min_grounded_eigenvalue"] == min(
             np.min(np.abs(np.linalg.eigvals(grounded_partition(weights[j]).s_matrix)))
@@ -123,9 +121,8 @@ class TestCouplingGainFormulas:
         model = MasModel.build(
             a_diag=[[[0.5]], [[0.5]]], c_diag=[[[1.0]], [[1.0]]],
             communication=DirectedGraph.from_edges(2, [(1, 2)]))
-        weights = consensus_weight_set(model.communication_graph, "binary")
         with pytest.raises(ConnectivityError):
-            coupling_gain_global(model, weights)
+            design_gains(model, weights="binary", mu="global")
 
     def test_undirected_formula(self):
         assert coupling_gain_undirected(1.2, 3) == 23
