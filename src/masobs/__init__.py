@@ -12,7 +12,7 @@ line tool.
 
 from . import errors, graphs, localization, mas, observer, scenarios, sim, synth
 from .errors import (AssumptionError, ConnectivityError, CycleError,
-                     DimensionError, DomainError, LayerError, MasobsError,
+                     DimensionError, DomainError, InputError, LayerError, MasobsError,
                      NonFiniteError, SymmetryError, UnobservableError)
 from .graphs import AugmentedGraph, DirectedGraph, GroundedBlocks
 from .localization import AgentKinematics, DagcAssignment, SensingGraph
@@ -28,7 +28,7 @@ __all__ = [
     "synth",
     "MasobsError", "CycleError", "SymmetryError", "DimensionError",
     "AssumptionError", "UnobservableError", "ConnectivityError", "LayerError",
-    "NonFiniteError", "DomainError",
+    "NonFiniteError", "DomainError", "InputError",
     "DirectedGraph", "AugmentedGraph", "GroundedBlocks",
     "MasModel", "StackedSystem",
     "ObserverGains", "ObserverState", "ErrorDynamics",

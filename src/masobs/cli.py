@@ -17,10 +17,10 @@ from . import mas as mas_mod
 from . import observer as obs_mod
 from . import scenarios as scen_mod
 from . import sim as sim_mod
-from .errors import (AssumptionError, ConnectivityError, DomainError, LayerError,
-                     MasobsError, NonFiniteError, UnobservableError)
-from .graphs import (DirectedGraph, as_int, is_strongly_connected, refuse_unknown_keys,
-                     topological_ordering)
+from .errors import (AssumptionError, ConnectivityError, InputError, LayerError, MasobsError,
+                     NonFiniteError, UnobservableError)
+from .graphs import (DirectedGraph, as_int, is_strongly_connected, label_map,
+                     refuse_unknown_keys, topological_ordering)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,11 +51,7 @@ def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_USAGE, f"cannot write {path}: {exc}")
 
 
-# what reading an input file, or setting up its run, raises on bad content
-_INPUT_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError, MasobsError)
-
-
-def _exit_code(exc: Exception) -> int:
+def _exit_code(exc: MasobsError) -> int:
     """Exit code of an error that stops a command: a divergence, a failed
     check, or else a usage or parse problem."""
     if isinstance(exc, NonFiniteError):
@@ -63,13 +59,6 @@ def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (AssumptionError, ConnectivityError, LayerError, UnobservableError)):
         return EXIT_CHECK
     return EXIT_USAGE
-
-
-def _reason(exc: Exception) -> str:
-    """A parse failure in words; str() of a KeyError is only the key's repr."""
-    if isinstance(exc, KeyError):
-        return f"missing key {exc.args[0]!r}"
-    return str(exc)
 
 
 # the top-level keys that each input kind reads; any other key is refused
@@ -83,21 +72,31 @@ _KIND_KEYS = {
                      "gain_block", "input_mode", "initial_positions",
                      "initial_velocities", *_RUN_KEYS},
 }
+# the top-level keys that each input kind needs (a model file's are the
+# ones that mas.model_from_json needs in any model section)
+_KIND_NEEDS = {
+    "model": (),
+    "sensing": ("agents", "relative_edges"),
+    "mas": ("model", "t_end", "dt"),
+    "localization": ("sensing", "communication", "t_end", "dt"),
+}
 
 
 def _file_kind(obj: dict) -> str:
     """Which input ``obj`` is: a "model" file, a "sensing" file, or a
     scenario of kind "mas" (the default) or "localization".  Raises
-    ValueError for an unknown kind or a top-level key that kind never reads."""
+    InputError for an unknown kind, a top-level key that kind never reads,
+    or one it needs and lacks."""
     if "relative_edges" in obj:
         kind = "sensing"
     elif "m" in obj:
         kind = "model"
     else:
         kind = obj.get("kind", "mas")
-    if kind not in _KIND_KEYS:
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    refuse_unknown_keys(obj, _KIND_KEYS[kind], "top-level", f" in a {kind} file")
+    if not (isinstance(kind, str) and kind in _KIND_KEYS):
+        raise InputError(f"unknown scenario kind {kind!r}")
+    refuse_unknown_keys(obj, _KIND_KEYS[kind], "top-level", f" in a {kind} file",
+                        required=_KIND_NEEDS[kind])
     return kind
 
 
@@ -112,20 +111,23 @@ def sensing_from_json(obj: dict):
     """``(SensingGraph, ids, communication)`` of a sensing file, whose pinned
     ``ids`` and ``communication`` graph are optional, or of a localization
     scenario's ``sensing`` section and ``communication`` graph."""
-    if _file_kind(obj) == "localization":
-        sensing, comm = obj["sensing"], obj["communication"]
-        refuse_unknown_keys(sensing, _KIND_KEYS["sensing"] - {"communication"}, "sensing")
+    localization = _file_kind(obj) == "localization"
+    if localization:
+        sensing = obj["sensing"]
+        refuse_unknown_keys(sensing, _KIND_KEYS["sensing"] - {"communication"}, "sensing",
+                            required=_KIND_NEEDS["sensing"])
     else:
-        sensing, comm = obj, obj.get("communication")
+        sensing = obj
     ids = sensing.get("ids")
     if ids is not None:
-        if not isinstance(ids, dict):
-            raise TypeError(f"ids must map agents to ids, got {type(ids).__name__}")
-        ids = {int(k): as_int(v, f"id of agent {k}") for k, v in ids.items()}
+        ids = {k: as_int(v, f"id of agent {k}") for k, v in label_map(ids, "ids").items()}
     sg = loc_mod.SensingGraph(agent_count=as_int(sensing["agents"], "agents"),
                               relative_edges=sensing["relative_edges"],
                               anchors=sensing.get("anchors", ()))
-    return sg, ids, None if comm is None else mas_mod._graph_from_json(comm, sg.agent_count)
+    comm = obj.get("communication")
+    if comm is not None or localization:
+        comm = mas_mod._graph_from_json(comm, sg.agent_count)
+    return sg, ids, comm
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +177,8 @@ def cmd_check(args) -> int:
     obj = _load_json(args.path)
     try:
         verdicts = _verdicts(obj)
-    except _INPUT_ERRORS as exc:
-        verdicts = [(False, "structure", _reason(exc))]
+    except MasobsError as exc:
+        verdicts = [(False, "structure", str(exc))]
     for ok, name, detail in verdicts:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return EXIT_OK if all(ok for ok, _, _ in verdicts) else EXIT_CHECK
@@ -190,8 +192,8 @@ def cmd_gains(args) -> int:
     obj = _load_json(args.path)
     try:
         model = _model_from_file(obj)
-    except _INPUT_ERRORS as exc:
-        return _fail(_exit_code(exc), f"cannot parse model: {_reason(exc)}")
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), f"cannot parse model: {exc}")
     try:
         gains, report = obs_mod.design_gains(
             model, margin=args.margin,
@@ -289,15 +291,15 @@ def cmd_run(args) -> int:
     obj = _load_json(args.path)
     try:
         cfg = scenario_from_file(obj)
-    except _INPUT_ERRORS as exc:
-        return _fail(_exit_code(exc), f"cannot parse scenario: {_reason(exc)}")
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), f"cannot parse scenario: {exc}")
     out_dir = Path(args.out) if args.out else Path(args.path).with_suffix("") \
         .with_name(Path(args.path).stem + "_out")
     try:
         cfg = _apply_overrides(cfg, args)
         trace = sim_mod.run_scenario(cfg)
-    except _INPUT_ERRORS as exc:
-        return _fail(_exit_code(exc), _reason(exc))
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), str(exc))
     try:
         _write_bundle(out_dir, cfg, trace, args.subsample)
     except OSError as exc:
@@ -319,12 +321,12 @@ def cmd_reproduce(args) -> int:
     for key in keys:
         try:
             experiment = scen_mod.build_experiment(key)
-        except KeyError as exc:
-            return _fail(EXIT_USAGE, str(exc))
+        except MasobsError as exc:
+            return _fail(_exit_code(exc), str(exc))
         try:
             runs.append((experiment, _apply_overrides(experiment.config, args)))
-        except DomainError as exc:
-            return _fail(EXIT_USAGE, f"{experiment.key}: {exc}")
+        except MasobsError as exc:
+            return _fail(_exit_code(exc), f"{experiment.key}: {exc}")
     overall_ok = True
     for experiment, cfg in runs:
         print(f"[{experiment.key}] {experiment.title}")
@@ -363,8 +365,8 @@ def cmd_dagc(args) -> int:
     try:
         sg, ids, _ = sensing_from_json(obj)
         assignment = loc_mod.dagc(sg, ids=ids, seed=args.seed)
-    except _INPUT_ERRORS as exc:
-        return _fail(_exit_code(exc), f"cannot parse sensing scenario: {_reason(exc)}")
+    except MasobsError as exc:
+        return _fail(_exit_code(exc), f"cannot parse sensing scenario: {exc}")
     oriented = DirectedGraph.from_edges(sg.agent_count, assignment.oriented_edges)
     topological_ordering(oriented)  # acyclicity sanity check before writing
     out_dir = Path(args.out) if args.out else Path(".")
@@ -406,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gains", help="design observer gains for a model file")
     p.add_argument("path")
-    p.add_argument("--policy", default="global",
-                   choices=["global", "undirected", "directed"])
+    p.add_argument("--policy", default="global", choices=obs_mod.MU_RULES)
     p.add_argument("--m-bar", type=int, default=None, dest="m_bar",
                    help="maximum number of allowable agents")
     p.add_argument("--margin", type=float, default=1.0)

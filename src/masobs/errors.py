@@ -5,6 +5,10 @@ class MasobsError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(MasobsError, ValueError):
+    """A value read from a file, or given to a configuration, is malformed."""
+
+
 class CycleError(MasobsError):
     """A graph expected to be acyclic contains a directed cycle."""
 

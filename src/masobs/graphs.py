@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CycleError, SymmetryError
+from .errors import CycleError, InputError, SymmetryError
 
 
 def is_integer(value) -> bool:
@@ -23,33 +23,79 @@ def is_integer(value) -> bool:
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; ValueError naming ``what`` if it is no integer."""
+    """``value`` as an int; InputError naming ``what`` if it is no integer."""
     if not is_integer(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
-def refuse_unknown_keys(obj, known, section: str, where: str = "") -> None:
-    """TypeError unless ``obj`` is a JSON object; ValueError naming
-    ``section`` and the first key of ``obj`` that is not in ``known``."""
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number, but not a bool.  float() would read
+    "1.5" and True without a word."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and \
+        not isinstance(value, bool)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a float; InputError naming ``what`` unless it is a number."""
+    if not is_number(value):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_list(value, what: str) -> list:
+    """``value`` as a list; InputError naming ``what`` unless it is a JSON array."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
+def as_floats(values, what: str) -> tuple:
+    """``values`` as a tuple of floats; InputError naming ``what`` unless it
+    is a list of numbers."""
+    return tuple(as_number(v, what) for v in as_list(values, what))
+
+
+def label_map(obj, what: str) -> dict:
+    """``obj`` with each key read as an agent label: an integer, or the
+    decimal text of one as a JSON object key; InputError naming ``what``
+    unless ``obj`` is such a mapping."""
     if not isinstance(obj, dict):
-        raise TypeError(f"{section} must be a JSON object, got {type(obj).__name__}")
+        raise InputError(f"{what} must map agents to values, got {type(obj).__name__}")
+    out = {}
+    for key, value in obj.items():
+        if isinstance(key, str) and key.removeprefix("-").isdecimal() and \
+                str(int(key)) == key:
+            key = int(key)
+        out[as_int(key, f"agent key of {what}")] = value
+    return out
+
+
+def refuse_unknown_keys(obj, known, section: str, where: str = "", required=()) -> None:
+    """InputError unless ``obj`` is a JSON object that holds every key of
+    ``required`` and no key outside ``known``, naming ``section`` and the
+    first key at fault."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{section} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
-        raise ValueError(f"unknown {section} key {unknown[0]!r}{where}")
+        raise InputError(f"unknown {section} key {unknown[0]!r}{where}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise InputError(f"{section} lacks key {missing[0]!r}{where}")
 
 
 def _check_weight_matrix(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+        raise InputError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] == 0:
-        raise ValueError("graph needs at least one node")
+        raise InputError("graph needs at least one node")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix has non-finite entries")
+        raise InputError("weight matrix has non-finite entries")
     if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
+        raise InputError("weights must be nonnegative")
     if np.any(np.diag(w) != 0.0):
-        raise ValueError("self-loops are not allowed (diagonal must be zero)")
+        raise InputError("self-loops are not allowed (diagonal must be zero)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +119,14 @@ class DirectedGraph:
         """Build a graph from ``(src, dst)`` or ``(src, dst, weight)`` tuples."""
         w = np.zeros((node_count, node_count))
         for edge in edges:
-            if len(edge) == 2:
-                src, dst = edge
-                value = weight
-            else:
-                src, dst, value = edge
+            if not (isinstance(edge, (tuple, list)) and len(edge) in (2, 3)):
+                raise InputError(f"edge {edge!r} must be [src, dst] or [src, dst, weight]")
+            src, dst, value = edge if len(edge) == 3 else (*edge, weight)
             if not all(is_integer(v) and 1 <= v <= node_count for v in (src, dst)):
-                raise ValueError(f"edge ({src}, {dst}) needs integer endpoints in 1..{node_count}")
+                raise InputError(f"edge ({src}, {dst}) needs integer endpoints in 1..{node_count}")
             if src == dst:
-                raise ValueError(f"self-loop ({src}, {dst}) not allowed")
-            w[dst - 1, src - 1] = value
+                raise InputError(f"self-loop ({src}, {dst}) not allowed")
+            w[dst - 1, src - 1] = as_number(value, f"weight of edge ({src}, {dst})")
         return cls(w)
 
     @property
@@ -114,7 +158,7 @@ class DirectedGraph:
     def union(self, other: "DirectedGraph") -> "DirectedGraph":
         """Topology union; weights are the entrywise maximum."""
         if other.node_count != self.node_count:
-            raise ValueError("union requires equal node counts")
+            raise InputError("union requires equal node counts")
         return DirectedGraph(np.maximum(self.weights, other.weights))
 
     def to_text(self) -> str:
@@ -132,14 +176,14 @@ class DirectedGraph:
 def parse_text(text: str):
     """``(node_count, edges)`` of a graph text: a ``nodes m`` header, then one
     ``src dst weight`` line per edge."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("nodes"):
-        raise ValueError("graph text must start with a 'nodes m' header")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return int(lines[0].split()[1]), edges
+    header, *rows = [ln.split() for ln in text.splitlines() if ln.strip()] or [[]]
+    if len(header) == 2 and header[0] == "nodes":
+        try:
+            return int(header[1]), [(int(src), int(dst), float(w)) for src, dst, w in rows]
+        except ValueError:  # a token that is no number, or a line of another length
+            pass
+    raise InputError("graph text must be a 'nodes m' header, then one "
+                     "'src dst weight' line per edge")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +204,17 @@ class AugmentedGraph:
             raise IndexError(f"leader target {self.leader_target} out of range 1..{m}")
         w = np.array(self.weights, dtype=float)
         if w.shape != (m + 1, m + 1):
-            raise ValueError(f"augmented weights must be {(m + 1, m + 1)}, got {w.shape}")
+            raise InputError(f"augmented weights must be {(m + 1, m + 1)}, got {w.shape}")
         _check_weight_matrix(w)
         if np.any(w[0, :] != 0.0):
-            raise ValueError("leader node must have in-degree zero")
+            raise InputError("leader node must have in-degree zero")
         leader_col = w[1:, 0]
         expected = np.zeros(m)
         expected[self.leader_target - 1] = leader_col[self.leader_target - 1]
         if leader_col[self.leader_target - 1] <= 0.0 or np.any(leader_col != expected):
-            raise ValueError("leader must feed exactly the target agent with positive weight")
+            raise InputError("leader must feed exactly the target agent with positive weight")
         if np.any((w[1:, 1:] > 0) != (self.base.weights > 0)):
-            raise ValueError("agent block of augmented weights must match the base edge set")
+            raise InputError("agent block of augmented weights must match the base edge set")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -281,7 +325,7 @@ def augment(gc: DirectedGraph, j: int, w_j0: float) -> AugmentedGraph:
     if not 1 <= j <= m:
         raise IndexError(f"agent index {j} out of range 1..{m}")
     if not w_j0 > 0.0:
-        raise ValueError(f"leader weight must be positive, got {w_j0}")
+        raise InputError(f"leader weight must be positive, got {w_j0}")
     w = np.zeros((m + 1, m + 1))
     w[1:, 1:] = gc.weights
     w[j, 0] = w_j0
@@ -316,7 +360,7 @@ def algebraic_connectivity(g: DirectedGraph) -> float:
     eigenvalues are real and sorted ascending.
     """
     if g.node_count < 2:
-        raise ValueError("algebraic connectivity needs at least two nodes")
+        raise InputError("algebraic connectivity needs at least two nodes")
     if not g.is_symmetric():
         raise SymmetryError("weight matrix is not symmetric")
     eigs = np.linalg.eigvalsh(laplacian(g))

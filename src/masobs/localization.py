@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DimensionError, LayerError
-from .graphs import DirectedGraph, as_int
-from .mas import MasModel, numerical_rank
+from .errors import AssumptionError, DimensionError, InputError, LayerError
+from .graphs import DirectedGraph, as_floats, as_int, as_list
+from .mas import MasModel, as_block, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,22 @@ class AgentKinematics:
 
     def __post_init__(self):
         if self.order not in ("single", "double"):
-            raise ValueError(f"unknown integrator order {self.order!r}")
-        positions = tuple(tuple(float(v) for v in p) for p in self.positions)
-        if any(len(p) != self.h for p in positions):
-            raise DimensionError("every position needs exactly h coordinates")
+            raise InputError(f"unknown integrator order {self.order!r}")
+        positions = tuple(as_floats(p, "position") for p in as_list(self.positions, "positions"))
+        if not positions or any(len(p) != self.h for p in positions):
+            raise DimensionError("need at least one position, each of exactly h coordinates")
         object.__setattr__(self, "positions", positions)
         if self.order == "double":
             velocities = self.velocities
             if velocities is None:
                 velocities = tuple((0.0,) * self.h for _ in positions)
-            velocities = tuple(tuple(float(v) for v in w) for w in velocities)
+            velocities = tuple(as_floats(w, "velocity") for w in as_list(velocities, "velocities"))
             if len(velocities) != len(positions) or \
                     any(len(w) != self.h for w in velocities):
                 raise DimensionError("velocities must mirror the position layout")
             object.__setattr__(self, "velocities", velocities)
         elif self.velocities is not None:
-            raise ValueError("single integrators carry no velocity state")
+            raise InputError("single integrators carry no velocity state")
 
     def stacked_state(self) -> np.ndarray:
         if self.order == "single":
@@ -83,20 +83,22 @@ class SensingGraph:
     def __post_init__(self):
         m = self.agent_count
         if m < 1:
-            raise ValueError("need at least one agent")
-        edges = tuple((as_int(a, "edge endpoint"), as_int(b, "edge endpoint"))
-                      for a, b in self.relative_edges)
+            raise InputError("need at least one agent")
+        edges = as_list(self.relative_edges, "relative_edges")
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+            raise InputError("relative_edges must be [measured, owner] pairs")
+        edges = tuple((as_int(a, "edge endpoint"), as_int(b, "edge endpoint")) for a, b in edges)
         for a, b in edges:
             if not (1 <= a <= m and 1 <= b <= m):
-                raise ValueError(f"edge ({a},{b}) out of range 1..{m}")
+                raise InputError(f"edge ({a},{b}) out of range 1..{m}")
             if a == b:
-                raise ValueError(f"self-measurement ({a},{b}) not allowed")
+                raise InputError(f"self-measurement ({a},{b}) not allowed")
         if len(set(edges)) != len(edges):
-            raise ValueError("duplicate relative edges")
-        anchors = tuple(sorted({as_int(k, "anchor") for k in self.anchors}))
+            raise InputError("duplicate relative edges")
+        anchors = tuple(sorted({as_int(k, "anchor") for k in as_list(self.anchors, "anchors")}))
         for k in anchors:
             if not 1 <= k <= m:
-                raise ValueError(f"anchor {k} out of range 1..{m}")
+                raise InputError(f"anchor {k} out of range 1..{m}")
         object.__setattr__(self, "relative_edges", edges)
         object.__setattr__(self, "anchors", anchors)
 
@@ -267,9 +269,9 @@ def dagc(sg: SensingGraph, ids=None, seed: int = 0) -> DagcAssignment:
         ids = {i: int(drawn[i - 1]) for i in range(1, sg.agent_count + 1)}
     else:
         if set(ids) != set(range(1, sg.agent_count + 1)):
-            raise ValueError("ids must cover exactly the agents 1..m")
+            raise InputError("ids must cover exactly the agents 1..m")
         if any(v < 1 for v in ids.values()):
-            raise ValueError("ids must be positive integers")
+            raise InputError("ids must be positive integers")
     ids, rounds = _fix_id_collisions(ids)
     pairs = sorted({(min(a, b), max(a, b)) for a, b in sg.relative_edges})
     oriented = []
@@ -287,6 +289,8 @@ def dagc(sg: SensingGraph, ids=None, seed: int = 0) -> DagcAssignment:
 # ----------------------------------------------------------------------
 
 def _integrator_blocks(order: str, h: int):
+    if h < 1:
+        raise InputError(f"h must be at least 1, got {h}")
     if order == "single":
         a = np.zeros((h, h))
         b = np.eye(h)
@@ -297,7 +301,7 @@ def _integrator_blocks(order: str, h: int):
         b = np.vstack([np.zeros((h, h)), np.eye(h)])
         meas = 2 * h  # relative position and velocity come together
     else:
-        raise ValueError(f"unknown integrator order {order!r}")
+        raise InputError(f"unknown integrator order {order!r}")
     return a, b, meas
 
 
@@ -348,7 +352,7 @@ def localization_luenberger(model: MasModel, gain_block=None) -> dict:
     for i in model.agents:
         n_i = model.state_dims[i - 1]
         p_i = model.output_dims[i - 1]
-        block = -np.eye(n_i) if gain_block is None else np.atleast_2d(np.asarray(gain_block, float))
+        block = -np.eye(n_i) if gain_block is None else as_block(gain_block, "gain_block")
         if block.shape != (n_i, n_i):
             raise DimensionError(f"gain block must be {(n_i, n_i)}, got {block.shape}")
         count = p_i // n_i

@@ -22,15 +22,33 @@ from types import MappingProxyType
 import numpy as np
 
 from . import graphs
-from .errors import AssumptionError, CycleError, DimensionError
+from .errors import AssumptionError, CycleError, DimensionError, InputError
 from .graphs import DirectedGraph
 
 RANK_REL_TOL = 1e-9
 
 
-def _freeze(arr) -> np.ndarray:
-    a = np.array(arr, dtype=float)
+def _freeze(arr, what: str = "array") -> np.ndarray:
+    """``arr`` as a read-only float array; InputError naming ``what`` unless
+    it is a rectangular array of numbers (strings, nulls and an array of
+    bools only are refused)."""
+    try:
+        a = np.array(arr, dtype=float)
+        numeric = np.asarray(arr).dtype.kind in "iuf"
+    except (TypeError, ValueError):  # a ragged array, or an entry float() refuses
+        numeric = False
+    if not numeric:
+        raise InputError(f"{what} must be a rectangular array of numbers")
     a.setflags(write=False)
+    return a
+
+
+def as_block(value, what: str) -> np.ndarray:
+    """``value`` as a read-only matrix of finite floats (a scalar or vector
+    is one row); InputError naming ``what`` otherwise."""
+    a = np.atleast_2d(_freeze(value, what))
+    if a.ndim != 2 or not np.all(np.isfinite(a)):
+        raise InputError(f"{what} must be a matrix of finite numbers")
     return a
 
 
@@ -82,11 +100,12 @@ class MasModel:
         a_blocks = {}
         c_blocks = {}
         for i in range(1, m + 1):
-            a_blocks[(i, i)] = np.atleast_2d(np.asarray(a_diag[i - 1], dtype=float))
-            c_blocks[(i, i)] = np.atleast_2d(np.asarray(c_diag[i - 1], dtype=float))
-        for blocks, couplings in ((a_blocks, a_couplings), (c_blocks, c_couplings)):
+            a_blocks[(i, i)] = as_block(a_diag[i - 1], f"A block of agent {i}")
+            c_blocks[(i, i)] = as_block(c_diag[i - 1], f"C block of agent {i}")
+        for name, blocks, couplings in (("A", a_blocks, a_couplings),
+                                        ("C", c_blocks, c_couplings)):
             for key, block in dict(couplings or {}).items():
-                block = np.atleast_2d(np.asarray(block, dtype=float))
+                block = as_block(block, f"{name} coupling block {key}")
                 if np.any(block != 0.0):
                     blocks[key] = block
         b_blocks = {}
@@ -95,7 +114,7 @@ class MasModel:
             if b_diag is None or b_diag[i - 1] is None:
                 b_blocks[i] = np.zeros((n_i, 0))
             else:
-                b_blocks[i] = np.atleast_2d(np.asarray(b_diag[i - 1], dtype=float))
+                b_blocks[i] = as_block(b_diag[i - 1], f"B block of agent {i}")
         return cls(
             a_blocks=a_blocks,
             b_blocks=b_blocks,
@@ -300,13 +319,17 @@ def _graph_to_json(g: DirectedGraph):
 def _graph_from_json(obj, agents: int) -> DirectedGraph:
     """The communication graph of a file, refused before it is allocated
     unless it has one node per agent."""
-    graphs.refuse_unknown_keys(
-        obj, ("graph_file",) if "graph_file" in obj else ("nodes", "edges"), "communication")
+    keys = ("graph_file",) if isinstance(obj, dict) and "graph_file" in obj else ("nodes", "edges")
+    graphs.refuse_unknown_keys(obj, keys, "communication", required=keys)
     if "graph_file" in obj:
-        nodes, edges = graphs.parse_text(Path(obj["graph_file"]).read_text())
+        try:
+            text = Path(obj["graph_file"]).read_text()
+        except (OSError, TypeError, ValueError) as exc:  # ValueError: not text, or a NUL
+            raise InputError(f"cannot read graph_file {obj['graph_file']!r}: {exc}") from None
+        nodes, edges = graphs.parse_text(text)
     else:
         nodes = graphs.as_int(obj["nodes"], "nodes")
-        edges = [tuple(e) for e in obj["edges"]]
+        edges = graphs.as_list(obj["edges"], "communication edges")
     if nodes != agents:
         raise DimensionError(f"communication graph has {nodes} nodes for {agents} agents")
     return DirectedGraph.from_edges(nodes, edges)
@@ -342,30 +365,34 @@ MODEL_KEYS = {"m", "agents", "state_couplings", "output_couplings", "dynamics_ed
 
 
 def model_from_json(obj: dict) -> MasModel:
-    graphs.refuse_unknown_keys(obj, MODEL_KEYS, "model")
+    graphs.refuse_unknown_keys(obj, MODEL_KEYS, "model", required=("m", "agents", "communication"))
     m = graphs.as_int(obj["m"], "m")
-    if len(obj["agents"]) != m:
+    agents = graphs.as_list(obj["agents"], "agents")
+    if len(agents) != m:
         raise DimensionError("agent list length does not match 'm'")
-    for entry in obj["agents"]:
-        graphs.refuse_unknown_keys(entry, ("A", "B", "C"), "model agent")
+    for entry in agents:
+        graphs.refuse_unknown_keys(entry, ("A", "B", "C"), "model agent", required=("A", "C"))
+    couplings = {}
     for key in ("state_couplings", "output_couplings"):
-        for entry in obj.get(key, []):
-            graphs.refuse_unknown_keys(entry, ("i", "j", "block"), key)
-    a_diag = [entry["A"] for entry in obj["agents"]]
-    c_diag = [entry["C"] for entry in obj["agents"]]
-    b_diag = [entry.get("B") for entry in obj["agents"]]
-    a_couplings = {(e["i"], e["j"]): e["block"] for e in obj.get("state_couplings", [])}
-    c_couplings = {(e["i"], e["j"]): e["block"] for e in obj.get("output_couplings", [])}
+        couplings[key] = {}
+        for entry in graphs.as_list(obj.get(key, []), key):
+            graphs.refuse_unknown_keys(entry, ("i", "j", "block"), key,
+                                       required=("i", "j", "block"))
+            pair = tuple(graphs.as_int(entry[k], f"{key} agent {k}") for k in ("i", "j"))
+            couplings[key][pair] = entry["block"]
     model = MasModel.build(
-        a_diag, c_diag,
+        [entry["A"] for entry in agents], [entry["C"] for entry in agents],
         communication=_graph_from_json(obj["communication"], m),
-        b_diag=b_diag, a_couplings=a_couplings, c_couplings=c_couplings)
+        b_diag=[entry.get("B") for entry in agents],
+        a_couplings=couplings["state_couplings"], c_couplings=couplings["output_couplings"])
     # edge lists in the file are redundant but must agree with the blocks
     for key, g in (("dynamics_edges", model.dynamics_graph),
                    ("sensing_edges", model.sensing_graph)):
         if key in obj:
-            declared = {tuple(e) for e in obj[key]}
-            if declared != set(g.edges):
+            declared = [tuple(e) if isinstance(e, list) else e
+                        for e in graphs.as_list(obj[key], key)]
+            edges = list(g.edges)
+            if any(e not in declared for e in edges) or any(e not in edges for e in declared):
                 raise AssumptionError(f"'{key}' disagrees with the coupling blocks")
     return model
 

@@ -24,7 +24,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import graphs, mas as mas_mod
-from .errors import ConnectivityError, DimensionError, DomainError, UnobservableError
+from .errors import (ConnectivityError, DimensionError, DomainError, InputError,
+                     UnobservableError)
 from .graphs import DirectedGraph, augment, grounded_partition
 from .mas import MasModel, check_topological_consistency, is_observable
 
@@ -35,6 +36,10 @@ WEIGHT_RULES = {
     "normalized-in": graphs.normalized_in_weights,
     "normalized-out": graphs.normalized_out_weights,
 }
+#: the rules that select the coupling gain mu (see :func:`design_gains`)
+MU_RULES = ("global", "undirected", "directed")
+#: "full": every agent knows the whole input; "own-only": only its own
+INPUT_MODES = ("full", "own-only")
 
 
 # ----------------------------------------------------------------------
@@ -60,8 +65,8 @@ class ObserverGains:
     def __post_init__(self):
         if self.mu <= 0:
             raise DomainError(f"coupling gain must be positive, got {self.mu}")
-        if self.input_mode not in ("full", "own-only"):
-            raise ValueError(f"unknown input mode {self.input_mode!r}")
+        if self.input_mode not in INPUT_MODES:
+            raise InputError(f"unknown input mode {self.input_mode!r}")
         lg = {i: mas_mod._freeze(f) for i, f in dict(self.luenberger).items()}
         ws = {j: mas_mod._freeze(w) for j, w in dict(self.weights).items()}
         object.__setattr__(self, "luenberger", MappingProxyType(lg))
@@ -80,7 +85,10 @@ def validate_gains(model: MasModel, gains: ObserverGains) -> None:
         p_i = model.output_dims[i - 1]
         if f.shape != (n_i, p_i):
             raise DomainError(f"gain for agent {i} has shape {f.shape}, expected {(n_i, p_i)}")
-        loop = model.a_blocks[(i, i)] - f @ model.c_blocks[(i, i)]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            loop = model.a_blocks[(i, i)] - f @ model.c_blocks[(i, i)]
+        if not np.all(np.isfinite(loop)):
+            raise DomainError(f"A - F C overflows for agent {i}")
         if np.max(np.linalg.eigvals(loop).real) >= 0.0:
             raise DomainError(f"A - F C is not Hurwitz for agent {i}")
     gc = model.communication_graph
@@ -102,7 +110,7 @@ def consensus_weight_set(gc: DirectedGraph, rule="binary"):
     try:
         build = WEIGHT_RULES[rule]
     except KeyError:
-        raise ValueError(f"unknown weight rule {rule!r}") from None
+        raise InputError(f"unknown weight rule {rule!r}") from None
     out = {}
     for j in gc.nodes:
         ag = augment(gc, j, 1.0)
@@ -134,7 +142,9 @@ def design_luenberger_gain(a, c, margin: float = 1.0) -> np.ndarray:
     n = a.shape[0]
     shifted = a + margin * np.eye(n)
     try:
-        p = scipy.linalg.solve_continuous_are(shifted.T, c.T, np.eye(n), np.eye(c.shape[0]))
+        # a huge block overflows inside the solver, which then raises
+        with np.errstate(all="ignore"):
+            p = scipy.linalg.solve_continuous_are(shifted.T, c.T, np.eye(n), np.eye(c.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"no Riccati gain for margin {margin}: {exc}") from None
     return p @ c.T
@@ -264,7 +274,7 @@ def design_gains(model: MasModel, luenberger="auto", margin: float = 1.0,
         report["min_grounded_eigenvalue"] = min_mod
         report["mu_bound"] = rho_max / min_mod
         mu_value = _next_integer_above(report["mu_bound"])
-    elif mu in ("undirected", "directed"):
+    elif mu in MU_RULES:
         if m_bar is None:
             raise DomainError(f"the {mu} policy needs the agent cap m_bar")
         bound_of = coupling_bound_undirected if mu == "undirected" else coupling_bound_directed

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import observer as obs_mod
 from . import sim as sim_mod
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .graphs import DirectedGraph
 from .localization import (AgentKinematics, SensingGraph, build_localization_mas, dagc,
                            localization_luenberger)
@@ -163,8 +163,6 @@ def localization_model(sensing: SensingGraph, communication: DirectedGraph, ids=
     stabilizes once the graph conditions hold."""
     assignment = dagc(sensing, ids=ids, seed=seed)
     model = build_localization_mas(assignment, communication, order=order, h=h)
-    if weight_rule not in obs_mod.WEIGHT_RULES:
-        raise ValueError(f"unknown weight rule {weight_rule!r}")
     policy = GainPolicy(luenberger=localization_luenberger(model, gain_block),
                         weights=weight_rule, mu=1.0)
     return model, policy, assignment
@@ -329,7 +327,7 @@ def build_experiment(key: str) -> Experiment:
     try:
         title, make_config, checks_for = _BUILDERS[key]
     except KeyError:
-        raise KeyError(f"unknown experiment {key!r}; choose from {list(_BUILDERS)}") from None
+        raise InputError(f"unknown experiment {key!r}; choose from {list(_BUILDERS)}") from None
     config = make_config()
     return Experiment(key=key, title=title, config=config, checks=checks_for(config),
                       checks_for=checks_for)

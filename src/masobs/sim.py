@@ -21,7 +21,7 @@ import os
 import shutil
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,9 @@ import numpy as np
 from . import mas as mas_mod
 from . import observer as obs_mod
 from .errors import (AssumptionError, ConnectivityError, DimensionError,
-                     DomainError, NonFiniteError)
-from .graphs import DirectedGraph, as_int, is_strongly_connected, refuse_unknown_keys
+                     DomainError, InputError, NonFiniteError)
+from .graphs import (DirectedGraph, as_floats, as_int, as_list, as_number, is_number,
+                     is_strongly_connected, label_map, refuse_unknown_keys)
 from .mas import MasModel, check_node_observability, check_topological_consistency
 from .observer import ObserverGains
 
@@ -48,6 +49,9 @@ FLOAT_FLOOR_SAFETY = 8.0
 class ConstantInput:
     value: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", as_floats(self.value, "constant input value"))
+
     def evaluate(self, t):
         return np.asarray(self.value, dtype=float)
 
@@ -60,6 +64,14 @@ class SinusoidInput:
     frequency: float
     phase: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "amplitude", as_floats(self.amplitude, "sinusoid amplitude"))
+        object.__setattr__(self, "frequency", as_number(self.frequency, "sinusoid frequency"))
+        object.__setattr__(self, "phase", as_floats(self.phase, "sinusoid phase"))
+        if len(self.amplitude) != len(self.phase) or not math.isfinite(self.frequency):
+            raise InputError("sinusoid needs a finite frequency, and amplitude and phase "
+                             "with one entry per channel")
+
     def evaluate(self, t):
         return np.asarray(self.amplitude, float) * np.sin(
             self.frequency * t + np.asarray(self.phase, float))
@@ -71,6 +83,14 @@ class PiecewiseInput:
 
     times: tuple
     values: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "times", as_floats(self.times, "piecewise times"))
+        object.__setattr__(self, "values", tuple(
+            as_floats(v, "piecewise value") for v in as_list(self.values, "piecewise values")))
+        if not self.values or len(self.values) != len(self.times) or \
+                len({len(v) for v in self.values}) != 1:
+            raise InputError("piecewise input needs one value per time, all of one length")
 
     def evaluate(self, t):
         idx = int(np.searchsorted(np.asarray(self.times, float), t, side="right")) - 1
@@ -87,7 +107,7 @@ def signal_to_json(sig):
     if isinstance(sig, PiecewiseInput):
         return {"type": "piecewise", "times": list(sig.times),
                 "values": [list(v) for v in sig.values]}
-    raise ValueError(f"unknown signal {sig!r}")
+    raise InputError(f"unknown signal {sig!r}")
 
 
 _SIGNAL_KEYS = {"constant": ("type", "value"),
@@ -96,16 +116,16 @@ _SIGNAL_KEYS = {"constant": ("type", "value"),
 
 
 def signal_from_json(obj):
-    kind = obj["type"]
-    if kind not in _SIGNAL_KEYS:
-        raise ValueError(f"unknown signal type {kind!r}")
-    refuse_unknown_keys(obj, _SIGNAL_KEYS[kind], f"{kind} input")
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not (isinstance(kind, str) and kind in _SIGNAL_KEYS):
+        raise InputError(f"an input needs a type of {', '.join(map(repr, _SIGNAL_KEYS))}, "
+                         f"got {kind!r}")
+    refuse_unknown_keys(obj, _SIGNAL_KEYS[kind], f"{kind} input", required=_SIGNAL_KEYS[kind])
     if kind == "constant":
-        return ConstantInput(tuple(obj["value"]))
+        return ConstantInput(obj["value"])
     if kind == "sinusoid":
-        return SinusoidInput(tuple(obj["amplitude"]), float(obj["frequency"]),
-                             tuple(obj["phase"]))
-    return PiecewiseInput(tuple(obj["times"]), tuple(tuple(v) for v in obj["values"]))
+        return SinusoidInput(obj["amplitude"], obj["frequency"], obj["phase"])
+    return PiecewiseInput(obj["times"], obj["values"])
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +141,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("process", "measurement"):
-            bound = getattr(self, name)
+            bound = as_number(getattr(self, name), f"{name} noise bound")
             if not (math.isfinite(bound) and bound >= 0.0):
                 raise DomainError(
                     f"{name} noise bound must be finite and nonnegative, got {bound}")
+            object.__setattr__(self, name, bound)
 
 
 @dataclass(frozen=True)
@@ -144,9 +165,30 @@ class GainPolicy:
     m_bar: int = None
     input_mode: str = "full"
 
+    def __post_init__(self):
+        if not (isinstance(self.luenberger, str) and self.luenberger == "auto"):
+            object.__setattr__(self, "luenberger", {
+                lab: mas_mod.as_block(f, f"gains.luenberger of agent {lab}")
+                for lab, f in label_map(self.luenberger, "gains.luenberger").items()})
+        if not _is_positive(self.margin):
+            raise InputError(f"gains.margin must be a finite positive number, got {self.margin!r}")
+        if not (isinstance(self.weights, str) and self.weights in obs_mod.WEIGHT_RULES):
+            raise InputError("gains.weights must name a weight rule: "
+                             + ", ".join(map(repr, obs_mod.WEIGHT_RULES)))
+        if not (self.mu in obs_mod.MU_RULES if isinstance(self.mu, str)
+                else _is_positive(self.mu)):
+            raise InputError("gains.mu must be a finite positive number or one of "
+                             f"{', '.join(map(repr, obs_mod.MU_RULES))}, got {self.mu!r}")
+        if self.m_bar is not None:
+            object.__setattr__(self, "m_bar", as_int(self.m_bar, "gains.m_bar"))
+        if self.input_mode not in obs_mod.INPUT_MODES:
+            raise InputError(f"gains.input_mode must be one of "
+                             f"{', '.join(map(repr, obs_mod.INPUT_MODES))}, "
+                             f"got {self.input_mode!r}")
 
-def _frozen_block(value) -> np.ndarray:
-    return np.atleast_2d(mas_mod._freeze(value))
+
+def _is_positive(value) -> bool:
+    return is_number(value) and math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +210,17 @@ class JoinEvent:
     luenberger: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a_block", _frozen_block(self.a_block))
-        object.__setattr__(self, "c_block", _frozen_block(self.c_block))
-        for name in ("b_block", "luenberger"):
+        object.__setattr__(self, "a_block", mas_mod.as_block(self.a_block, "join A"))
+        object.__setattr__(self, "c_block", mas_mod.as_block(self.c_block, "join C"))
+        for name, key in (("b_block", "B"), ("luenberger", "luenberger")):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen_block(getattr(self, name)))
+                object.__setattr__(self, name, mas_mod.as_block(getattr(self, name),
+                                                                f"join {key}"))
         for name in ("state_couplings", "output_couplings"):
             object.__setattr__(self, name, tuple(
-                (i, j, _frozen_block(blk)) for i, j, blk in getattr(self, name)))
-        init = mas_mod._freeze(self.initial_state)
+                (i, j, mas_mod.as_block(blk, f"join {name} block ({i}, {j})"))
+                for i, j, blk in getattr(self, name)))
+        init = mas_mod._freeze(self.initial_state, "join state")
         if init.shape != (self.a_block.shape[0],):
             raise DimensionError(f"initial state for agent {self.label} must have "
                                  f"shape ({self.a_block.shape[0]},)")
@@ -193,8 +237,14 @@ class LeaveEvent:
     communication: tuple = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
+    """One run: the plant, its gain policy, inputs keyed by agent label,
+    noise, join/leave events and the time grid.  ``initial_state`` (default
+    zero) and the ``xbar``/``xhat`` vectors of ``initial_estimates`` (keyed by
+    model agent; default "zero") are converted to read-only float arrays and
+    checked against the model when the config is made."""
+
     model: MasModel
     policy: GainPolicy = GainPolicy()
     inputs: dict = None              # label -> input signal
@@ -208,6 +258,9 @@ class ScenarioConfig:
     initial_estimates: object = "zero"
 
     def __post_init__(self):
+        for name, read in (("t_end", as_number), ("dt", as_number), ("seed", as_int),
+                           ("record_every", as_int)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if not (0 < self.dt <= self.t_end < math.inf):
             raise DomainError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, "
                               f"t_end={self.t_end}")
@@ -220,6 +273,35 @@ class ScenarioConfig:
             raise DomainError("event times must lie strictly inside (0, t_end)")
         if self.record_every < 1:
             raise DomainError("record_every must be at least 1")
+        model = self.model
+        if self.inputs is not None:
+            inputs = label_map(self.inputs, "inputs")
+            joins = {e.label for e in self.events if isinstance(e, JoinEvent)}
+            unknown = sorted(set(inputs) - set(model.agents) - joins)
+            if unknown:
+                raise DimensionError(f"inputs for agents {unknown}, which are neither "
+                                     "model agents nor join labels")
+            object.__setattr__(self, "inputs", inputs)
+        if self.initial_state is not None:
+            x0 = mas_mod._freeze(self.initial_state, "initial_state")
+            if x0.shape != (model.n,):
+                raise DimensionError(f"initial state must have shape ({model.n},), "
+                                     f"got {x0.shape}")
+            object.__setattr__(self, "initial_state", x0)
+        if not (isinstance(self.initial_estimates, str) and self.initial_estimates == "zero"):
+            refuse_unknown_keys(self.initial_estimates, ("xbar", "xhat"), "initial_estimates")
+            estimates = {}
+            for part, spec in self.initial_estimates.items():
+                estimates[part] = label_map(spec, f"initial_estimates.{part}")
+                for lab, vec in estimates[part].items():
+                    if lab not in model.agents:
+                        raise DimensionError(f"initial estimates for unknown agent {lab}")
+                    what = f"initial_estimates.{part} of agent {lab}"
+                    vec = estimates[part][lab] = mas_mod._freeze(vec, what)
+                    shape = (model.state_dims[lab - 1] if part == "xbar" else model.n,)
+                    if vec.shape != shape:
+                        raise DimensionError(f"{what} must have shape {shape}, got {vec.shape}")
+            object.__setattr__(self, "initial_estimates", estimates)
 
 
 # ----------------------------------------------------------------------
@@ -638,19 +720,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimulationTrace:
     z = np.zeros((model.m + 2) * model.n)
     z_rows = z.reshape(model.m + 2, model.n)
     if cfg.initial_state is not None:
-        x0 = np.asarray(cfg.initial_state, float)
-        if x0.shape != (model.n,):
-            raise DimensionError(f"initial state must have shape ({model.n},)")
-        z_rows[0] = x0
+        z_rows[0] = cfg.initial_state
     if cfg.initial_estimates != "zero":
-        spec = cfg.initial_estimates
-        unknown = {int(lab) for part in spec.values() for lab in part} - set(model.agents)
-        if unknown:
-            raise DimensionError(f"initial estimates for unknown agents {sorted(unknown)}")
-        for lab, vec in spec.get("xbar", {}).items():
-            z_rows[1, model.state_slice(int(lab))] = vec
-        for lab, vec in spec.get("xhat", {}).items():
-            z_rows[1 + int(lab)] = vec
+        for lab, vec in cfg.initial_estimates.get("xbar", {}).items():
+            z_rows[1, model.state_slice(lab)] = vec
+        for lab, vec in cfg.initial_estimates.get("xhat", {}).items():
+            z_rows[1 + lab] = vec
     gain_log = [_gain_snapshot(0.0, labels, gains, report)]
 
     pending = list(zip(event_steps, cfg.events))
@@ -909,30 +984,16 @@ def read_trace_csv(path):
 def policy_to_json(policy: GainPolicy) -> dict:
     luenberger = policy.luenberger
     if isinstance(luenberger, dict):
-        luenberger = {str(k): np.asarray(v, float).tolist() for k, v in luenberger.items()}
+        luenberger = {str(k): v.tolist() for k, v in luenberger.items()}
     return {"margin": policy.margin, "mu": policy.mu, "m_bar": policy.m_bar,
             "input_mode": policy.input_mode, "luenberger": luenberger,
             "weights": policy.weights}
 
 
 def policy_from_json(obj: dict) -> GainPolicy:
-    refuse_unknown_keys(obj, ("luenberger", "margin", "weights", "mu", "m_bar",
-                              "input_mode"), "gains")
-    luenberger = obj.get("luenberger", "auto")
-    if isinstance(luenberger, dict):
-        luenberger = {int(k): np.asarray(v, float) for k, v in luenberger.items()}
-    weights = obj.get("weights", "binary")
-    if not (isinstance(weights, str) and weights in obs_mod.WEIGHT_RULES):
-        raise ValueError("gains.weights must name a weight rule: "
-                         + ", ".join(map(repr, obs_mod.WEIGHT_RULES)))
-    margin = obj.get("margin", 1.0)
-    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
-        raise ValueError(f"gains.margin must be a number, got {margin!r}")
-    m_bar = obj.get("m_bar")
-    return GainPolicy(luenberger=luenberger, margin=margin,
-                      weights=weights, mu=obj.get("mu", "global"),
-                      m_bar=None if m_bar is None else as_int(m_bar, "gains.m_bar"),
-                      input_mode=obj.get("input_mode", "full"))
+    """The policy of a ``gains`` section, whose keys are GainPolicy's fields."""
+    refuse_unknown_keys(obj, [f.name for f in fields(GainPolicy)], "gains")
+    return GainPolicy(**obj)
 
 
 def event_to_json(event) -> dict:
@@ -961,28 +1022,34 @@ def event_to_json(event) -> dict:
 
 def _labelled(triples, what):
     """The (i, j, x) triples of a file, with i and j integer labels."""
+    triples = as_list(triples, f"{what}s")
+    if not all(isinstance(t, list) and len(t) == 3 for t in triples):
+        raise InputError(f"{what}s must be [i, j, value] triples")
     return tuple((as_int(i, what), as_int(j, what), x) for i, j, x in triples)
 
 
 def _comm_from_json(edges):
-    return tuple((s, d, float(w)) for s, d, w in _labelled(edges, "communication endpoint"))
+    return tuple((s, d, as_number(w, "communication weight"))
+                 for s, d, w in _labelled(edges, "communication endpoint"))
 
 
 _EVENT_KEYS = {"join": ("label", "A", "B", "C", "state", "state_couplings",
                         "output_couplings", "communication", "luenberger"),
                "leave": ("label", "communication")}
+_EVENT_NEEDS = {"join": ("label", "A", "C", "state"), "leave": ("label",)}
 
 
 def event_from_json(obj: dict):
-    if "join" not in obj and "leave" not in obj:
-        raise ValueError("event object needs a 'join' or 'leave' section")
+    if not (isinstance(obj, dict) and ("join" in obj or "leave" in obj)):
+        raise InputError("event object needs a 'join' or 'leave' section")
     kind = "join" if "join" in obj else "leave"
-    refuse_unknown_keys(obj, ("time", kind), "event")
+    refuse_unknown_keys(obj, ("time", kind), "event", required=("time", kind))
     spec = obj[kind]
-    refuse_unknown_keys(spec, _EVENT_KEYS[kind], kind)
+    refuse_unknown_keys(spec, _EVENT_KEYS[kind], kind, required=_EVENT_NEEDS[kind])
+    time = as_number(obj["time"], "event time")
     if kind == "join":
         return JoinEvent(
-            time=float(obj["time"]), label=as_int(spec["label"], "join label"),
+            time=time, label=as_int(spec["label"], "join label"),
             a_block=spec["A"], c_block=spec["C"], initial_state=spec["state"],
             b_block=spec.get("B"),
             state_couplings=_labelled(spec.get("state_couplings", []), "coupling label"),
@@ -990,7 +1057,7 @@ def event_from_json(obj: dict):
             communication=_comm_from_json(spec.get("communication", [])),
             luenberger=spec.get("luenberger"))
     comm = spec.get("communication")
-    return LeaveEvent(time=float(obj["time"]), label=as_int(spec["label"], "leave label"),
+    return LeaveEvent(time=time, label=as_int(spec["label"], "leave label"),
                       communication=None if comm is None else _comm_from_json(comm))
 
 
@@ -1007,45 +1074,33 @@ def scenario_to_json(cfg: ScenarioConfig) -> dict:
     if cfg.inputs:
         out["inputs"] = {str(lab): signal_to_json(sig) for lab, sig in cfg.inputs.items()}
     if cfg.initial_state is not None:
-        out["initial_state"] = list(np.asarray(cfg.initial_state, float))
+        out["initial_state"] = cfg.initial_state.tolist()
     if cfg.initial_estimates != "zero":
-        out["initial_estimates"] = {
-            part: {str(k): list(np.asarray(v, float)) for k, v in spec.items()}
-            for part, spec in cfg.initial_estimates.items()}
+        out["initial_estimates"] = {part: {str(k): v.tolist() for k, v in spec.items()}
+                                    for part, spec in cfg.initial_estimates.items()}
     return out
 
 
 def run_settings_from_json(obj: dict) -> dict:
     """The ScenarioConfig fields that every scenario kind reads alike."""
-    inputs = None
-    if "inputs" in obj:
-        inputs = {int(lab): signal_from_json(sig) for lab, sig in obj["inputs"].items()}
+    inputs = obj.get("inputs")
+    if inputs is not None:
+        inputs = {lab: signal_from_json(sig) for lab, sig in label_map(inputs, "inputs").items()}
     noise = obj.get("noise", {})
     refuse_unknown_keys(noise, ("process", "measurement"), "noise")
-    return dict(
-        inputs=inputs,
-        noise=NoiseSpec(process=float(noise.get("process", 0.0)),
-                        measurement=float(noise.get("measurement", 0.0))),
-        t_end=float(obj["t_end"]), dt=float(obj["dt"]),
-        seed=as_int(obj.get("seed", 0), "seed"),
-        record_every=as_int(obj.get("record_every", 1), "record_every"))
+    return dict(inputs=inputs, noise=NoiseSpec(**noise), t_end=obj["t_end"], dt=obj["dt"],
+                seed=obj.get("seed", 0), record_every=obj.get("record_every", 1))
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
     if obj.get("kind", "mas") != "mas":
-        raise ValueError(f"not a mas scenario: kind={obj.get('kind')!r}")
-    initial_estimates = obj.get("initial_estimates", "zero")
-    if initial_estimates != "zero":
-        refuse_unknown_keys(initial_estimates, ("xbar", "xhat"), "initial_estimates")
-        initial_estimates = {part: {int(k): np.asarray(v, float) for k, v in spec.items()}
-                             for part, spec in initial_estimates.items()}
+        raise InputError(f"not a mas scenario: kind={obj.get('kind')!r}")
     return ScenarioConfig(
         model=mas_mod.model_from_json(obj["model"]),
         policy=policy_from_json(obj.get("gains", {})),
-        events=tuple(event_from_json(e) for e in obj.get("events", [])),
-        initial_state=(None if "initial_state" not in obj
-                       else tuple(obj["initial_state"])),
-        initial_estimates=initial_estimates,
+        events=tuple(event_from_json(e) for e in as_list(obj.get("events", []), "events")),
+        initial_state=obj.get("initial_state"),
+        initial_estimates=obj.get("initial_estimates", "zero"),
         **run_settings_from_json(obj),
     )
 

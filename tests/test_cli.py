@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from masobs.scenarios import (build_experiment, coupled_triple_model,
                               coupled_triple_scenario, plugin_join_scenario,
                               plugin_leave_scenario, ring_sensing_graph, RING_IDS)
 from masobs.observer import consensus_weight_set
-from masobs.sim import read_trace_csv, save_scenario, scenario_to_json
+from masobs.sim import JoinEvent, read_trace_csv, save_scenario, scenario_to_json
 
 
 @pytest.fixture
@@ -251,6 +252,7 @@ class TestBadOverrides:
         pytest.param("reproduce", "5A-basic", ["--subsample", "0"],
                      id="reproduce-subsample-zero"),
         pytest.param("reproduce", "5A-basic", ["--mu", "-1"], id="reproduce-mu-negative"),
+        pytest.param("reproduce", "all", ["--mu", "-1"], id="reproduce-all-mu-negative"),
     ])
     def test_exits_one_without_output(self, tmp_path, capsys, command, target, extra):
         if target is None:
@@ -258,8 +260,10 @@ class TestBadOverrides:
             save_scenario(coupled_triple_scenario(t_end=1.0), target)
         out_dir = tmp_path / "out"
         assert cli.main([command, str(target), *extra, "--out", str(out_dir)]) == 1
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert captured.out == ""
         assert not out_dir.exists()
 
 
@@ -366,7 +370,7 @@ class TestMalformedInput:
         else:
             assert len(lines) == 1 and lines[0].startswith(stderr_start), lines
         if bad == "no-communication":
-            assert "missing key 'communication'" in captured.out + captured.err
+            assert "model lacks key 'communication'" in captured.out + captured.err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -377,8 +381,9 @@ class TestMalformedInput:
                      id="run-noise-list"),
         pytest.param("run", "mas", "inputs", [], 1, "error: cannot parse scenario: ",
                      id="run-inputs-list"),
-        pytest.param("run", "mas", "gains.input_mode", "bogus", 1, "unknown input mode",
-                     id="run-input-mode-unknown"),
+        pytest.param("run", "mas", "gains.input_mode", "bogus", 1,
+                     "error: cannot parse scenario: gains.input_mode must be one of 'full', "
+                     "'own-only', got 'bogus'", id="run-input-mode-unknown"),
         pytest.param("run", "mas", "gains.weights", "bogus", 1, "error: ",
                      id="run-weights-unknown"),
         pytest.param("run", "mas", "gains.mu", "x", 1, "error: ", id="run-mu-string"),
@@ -482,6 +487,20 @@ class TestMalformedInput:
                      "unknown sensing key 'anchor'", id="dagc-sensing-key-misspelt"),
         pytest.param("run", "mas", "gains.m_bar", 4.5, 1,
                      "gains.m_bar must be an integer, got 4.5", id="run-m-bar-fraction"),
+        *[pytest.param(command, "mas", path, value, 1, f"error: cannot parse {what}: {message}",
+                       id=f"{command}-{name}")
+          for command, what in (("run", "scenario"), ("gains", "model"))
+          for name, path, value, message in (
+              ("mu-list", "gains.mu", [1], "gains.mu must be a finite positive number or one "
+               "of 'global', 'undirected', 'directed', got [1]"),
+              ("input-mode-number", "gains.input_mode", 5,
+               "gains.input_mode must be one of 'full', 'own-only', got 5"),
+              ("short-initial-estimate", "initial_estimates", {"xhat": {"1": [1, 2]}},
+               "initial_estimates.xhat of agent 1 must have shape (4,), got (2,)"),
+              ("estimate-key-not-integer", "initial_estimates", {"xhat": {"a": [0] * 4}},
+               "agent key of initial_estimates.xhat must be an integer, got 'a'"),
+              ("input-for-absent-agent", "inputs", {"9": {"type": "constant", "value": [1.0]}},
+               "inputs for agents [9], which are neither model agents nor join labels"))],
         *[pytest.param("run", kind, "gains.weights", _BINARY_WEIGHTS, 1,
                        "error: cannot parse scenario: gains.weights must name a weight rule: "
                        "'binary', 'normalized-in', 'normalized-out'\n",
@@ -523,6 +542,65 @@ class TestMalformedInput:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert expect in captured.out + captured.err
         assert out.exists() == (code == 0 and command != "check")
+
+
+def _early_join_payload():
+    """The 5A-basic scenario, cut to 0.02 s, with a scalar agent 4 joining
+    at 0.01 s."""
+    join = JoinEvent(time=0.01, label=4, a_block=[[0.5]], c_block=[[1.0]], initial_state=[0.1],
+                     output_couplings=((4, 3, [[1.0]]),), luenberger=[[2.0]],
+                     communication=((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0)))
+    return scenario_to_json(replace(coupled_triple_scenario(t_end=0.02), events=(join,)))
+
+
+def _json_paths(node, prefix=()):
+    """The path of every object member and list element of ``node``, to
+    depth 4."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        if len(prefix) < 3:
+            yield from _json_paths(child, prefix + (key,))
+
+
+_DELETE = object()
+
+
+class TestEveryJsonPath:
+    """``run`` on a file with any one entry deleted or replaced by a value of
+    another type exits 0, or 1, 2 or 3 with exactly one ``error:`` line; no
+    exception escapes ``cli.main``."""
+
+    def test_no_exception_escapes(self, tmp_path, capsys, monkeypatch):
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)  # build it once, for speed
+        source, out = tmp_path / "input.json", tmp_path / "out"
+        failures, cases = [], 0
+        for payload in (_early_join_payload(),
+                        {**_ring_localization_payload("single"), "t_end": 0.01}):
+            text = json.dumps(payload)
+            source.write_text(text)
+            assert cli.main(["run", str(source), "--out", str(out)]) == 0
+            for path in _json_paths(payload):
+                for value in (_DELETE, None, "x", [], {}, -1, 0.5, True):
+                    case = json.loads(text)
+                    node = case
+                    for key in path[:-1]:
+                        node = node[key]
+                    if value is _DELETE:
+                        del node[path[-1]]
+                    else:
+                        node[path[-1]] = value
+                    source.write_text(json.dumps(case))
+                    code = cli.main(["run", str(source), "--out", str(out)])
+                    lines = capsys.readouterr().err.splitlines()
+                    cases += 1
+                    if not ((code == 0 and lines == []) or (
+                            code in (1, 2, 3) and len(lines) == 1
+                            and lines[0].startswith("error: "))):
+                        failures.append((path, value, code, lines))
+        assert cases > 1500 and failures == []
 
 
 class TestBadMargin:

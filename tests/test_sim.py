@@ -251,10 +251,9 @@ class TestRunScenario:
     def test_initial_estimate_for_unknown_agent_rejected(self):
         cfg = _short_triple()
         for label in (0, 4):
-            bad = ScenarioConfig(model=cfg.model, policy=cfg.policy, t_end=1.0,
-                                 initial_estimates={"xhat": {label: np.zeros(cfg.model.n)}})
             with pytest.raises(DimensionError):
-                run_scenario(bad)
+                ScenarioConfig(model=cfg.model, policy=cfg.policy, t_end=1.0,
+                               initial_estimates={"xhat": {label: np.zeros(cfg.model.n)}})
 
     def test_linearity_in_initial_error(self):
         base = _short_triple()
